@@ -12,15 +12,22 @@ Three engines compute that integral:
   balanced conjugation of degree at most three per box, so the finite sum
   equals the integral up to rounding. Patterns therefore cap each label at
   three wires.
-* ``quadrature``: deterministic Gauss-Legendre tensor grid over the explicit
-  angle parameterization of the group, with the invariant-measure weight
-  folded into the node weights. Error falls off spectrally with node count.
+* ``quadrature``: deterministic product rule over the explicit angle
+  parameterization of the group: the periodic trapezoid rule in both
+  rotation angles and Gauss-Legendre in the cosine of the polar angle, with
+  the invariant-measure weight folded into the node weights. It is exact up
+  to rounding from 2 * DESIGN_COPY_LIMIT + 1 nodes per angle on, and shares
+  nothing with the design.
 * ``monte_carlo``: seeded unit-quaternion sampling, with a standard-error
   bound reported alongside the estimate.
 
 The two boxes are independent, so the exact engines average one label at a
-time (cost grows with 24 or nodes**3 per label instead of the square), while
-the Monte Carlo engine draws joint samples.
+time, while the Monte Carlo engine draws joint samples. For k wires sharing a
+label the exact average is one fixed channel, the k-copy twirl
+T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends on the rule and
+on k only. Each T_k is built once per process from the 24 group elements or
+nodes**3 grid points, then kept (at most 8**4 entries); every later average
+with the same rule only applies it.
 """
 
 from __future__ import annotations
@@ -35,8 +42,13 @@ from . import linalg, states
 #: is still exact.
 DESIGN_COPY_LIMIT = 3
 
-#: Default node count per angle for the quadrature engine; 24**3 grid points
-#: push the worst observed deviation to ~4e-15.
+#: Fewest quadrature nodes per angle for which the rule is exact on up to
+#: DESIGN_COPY_LIMIT copies (see _quadrature_elements).
+MIN_NODES = 2 * DESIGN_COPY_LIMIT + 1
+
+#: Default node count per angle for the quadrature engine. Any count from
+#: MIN_NODES on is exact up to rounding; the 24**3 grid points of the default
+#: cost more only in the one-time build of each channel.
 DEFAULT_NODES = 24
 
 _METHODS = ("design", "quadrature", "monte_carlo")
@@ -148,16 +160,6 @@ def su2_from_params(params: Su2Params) -> np.ndarray:
     ) * h
 
 
-def haar_weight(params: Su2Params) -> float:
-    """Invariant-measure density sin^2(theta/2) sin(mu) / (4 pi^2).
-
-    Integrates to 1 over the full parameter box.
-    """
-    return float(
-        np.sin(params.theta / 2) ** 2 * np.sin(params.mu) / (4.0 * np.pi**2)
-    )
-
-
 def sample_haar_su2(rng: np.random.Generator) -> np.ndarray:
     """One group element drawn uniformly, via a normalized 4-d Gaussian.
 
@@ -228,31 +230,34 @@ def clifford_group():
 
 
 def _quadrature_elements(nodes: int):
-    """Gauss-Legendre grid over the angle box, weights including the measure.
+    """Product rule over the angle box, weights including the measure.
 
-    Returns (stack of unitaries, weights). The weights are renormalized by
-    their sum so the engine preserves traces exactly even at low node counts;
-    for nodes >= 16 the raw sum already matches 1 to ~1e-11.
+    theta and phi take the periodic trapezoid rule on ``nodes`` points in
+    [0, 2*pi); x = cos(mu) takes ``nodes``-point Gauss-Legendre, which absorbs
+    the sin(mu) of the measure sin^2(theta/2) sin(mu) / (4 pi^2). Node
+    weights are therefore sin^2(theta/2) w_x / nodes**2.
+
+    Every entry of a k-copy channel, times sin^2(theta/2), is a trigonometric
+    polynomial of frequency at most k + 1 in theta and 2k in phi; summed over
+    phi, it is a polynomial of degree at most 2k in cos(mu). The trapezoid
+    rule is exact below frequency ``nodes`` and Gauss-Legendre up to degree
+    2 * nodes - 1, so the rule is exact for nodes >= 2k + 1, i.e. MIN_NODES.
+    At 2 * DESIGN_COPY_LIMIT nodes phi aliases and three-copy averages are
+    off by the order of 1e-2. The weights integrate the constant exactly, so they sum to
+    1 up to rounding and need no renormalization.
+
+    Returns (stack of unitaries, weights).
     """
-    if nodes < 2:
-        raise ValueError("need at least 2 nodes per angle")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    theta, w_theta = np.pi * (x + 1.0), np.pi * w
-    phi, w_phi = np.pi * (x + 1.0), np.pi * w
-    mu, w_mu = np.pi * (x + 1.0) / 2.0, np.pi * w / 2.0
+    x, w_x = np.polynomial.legendre.leggauss(nodes)
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    tg, pg, xg = np.meshgrid(angles, angles, x, indexing="ij")
+    wg = (np.sin(tg / 2) ** 2 * w_x / nodes**2).reshape(-1)
+    tg, pg, xg = tg.reshape(-1), pg.reshape(-1), xg.reshape(-1)
 
-    tg, pg, mg = np.meshgrid(theta, phi, mu, indexing="ij")
-    wg = (
-        np.einsum("i,j,k->ijk", w_theta, w_phi, w_mu)
-        * np.sin(tg / 2) ** 2
-        * np.sin(mg)
-        / (4.0 * np.pi**2)
-    ).reshape(-1)
-    tg, pg, mg = tg.reshape(-1), pg.reshape(-1), mg.reshape(-1)
-
-    axis_x = np.sin(mg) * np.cos(pg)
-    axis_y = np.sin(mg) * np.sin(pg)
-    axis_z = np.cos(mg)
+    sin_mu = np.sqrt(1.0 - xg**2)
+    axis_x = sin_mu * np.cos(pg)
+    axis_y = sin_mu * np.sin(pg)
+    axis_z = xg
     cos_half = np.cos(tg / 2)
     sin_half = np.sin(tg / 2)
     u = np.empty((tg.size, 2, 2), dtype=complex)
@@ -260,7 +265,7 @@ def _quadrature_elements(nodes: int):
     u[:, 0, 1] = -1j * sin_half * (axis_x - 1j * axis_y)
     u[:, 1, 0] = -1j * sin_half * (axis_x + 1j * axis_y)
     u[:, 1, 1] = cos_half + 1j * sin_half * axis_z
-    return u, wg / wg.sum()
+    return u, wg
 
 
 def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
@@ -275,17 +280,43 @@ def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _twirl_one_label(x: np.ndarray, wires, n: int, us: np.ndarray, weights: np.ndarray):
-    """Average W x W+ where W puts matrix u_m on every wire in ``wires``.
+#: k-copy twirl channels of the exact engines, keyed by (method, nodes for
+#: quadrature or None, k) and filled on first use. The element stacks they
+#: are built from are dropped after the build.
+_CHANNELS = {}
 
-    Builds the averaged conjugation superoperator on the acting wires once,
-    then applies it with the acting wires permuted to the front.
+
+def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
+    """Read-only k-copy twirl channel of an exact engine, indexed (c, d, a, b).
+
+    T[c, d, a, b] = sum_m w_m U_m^{(x)k}[c, a] conj(U_m^{(x)k})[d, b], so the
+    average of |a><b| on the k wires is sum_cd T[c, d, a, b] |c><d|.
+    """
+    key = (method, nodes if method == "quadrature" else None, k)
+    t = _CHANNELS.get(key)
+    if t is None:
+        if method == "design":
+            us = np.stack(clifford_group())
+            weights = np.full(len(us), 1.0 / len(us))
+        else:
+            us, weights = _quadrature_elements(nodes)
+        uk = _kron_stack(us, k)
+        t = np.einsum("mca,mdb,m->cdab", uk, uk.conj(), weights)
+        t.flags.writeable = False
+        _CHANNELS[key] = t
+    return t
+
+
+def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int):
+    """Average W x W+ where W puts the same element on every wire in ``wires``.
+
+    Applies the label's k-copy channel with the acting wires permuted to the
+    front.
     """
     k = len(wires)
     if k == 0:
         return x
-    uk = _kron_stack(us, k)
-    t = np.einsum("mca,mdb,m->cdab", uk, uk.conj(), weights)
+    t = _twirl_channel(method, nodes, k)
     da = 2**k
     db = 2 ** (n - k)
     perm = tuple(wires) + tuple(w for w in range(n) if w not in wires)
@@ -378,17 +409,15 @@ def twirl_operator(
         raise ValueError(f"operator shape {x.shape} does not match pattern {pattern}")
     if sorted(label_order) != ["U", "V"]:
         raise ValueError(f"label_order must list U and V once, got {label_order}")
-    if method == "design":
-        us = np.stack(clifford_group())
-        weights = np.full(len(us), 1.0 / len(us))
+    if method in ("design", "quadrature"):
+        if method == "quadrature" and nodes < MIN_NODES:
+            raise ValueError(
+                f"quadrature needs at least {MIN_NODES} nodes per angle, got {nodes}"
+            )
         for label in label_order:
-            x = _twirl_one_label(x, pattern.wires(label), n, us, weights)
-        return x, len(us), 0.0
-    if method == "quadrature":
-        us, weights = _quadrature_elements(nodes)
-        for label in label_order:
-            x = _twirl_one_label(x, pattern.wires(label), n, us, weights)
-        return x, int(us.shape[0]), 0.0
+            x = _twirl_one_label(x, pattern.wires(label), n, method, nodes)
+        terms = len(clifford_group()) if method == "design" else nodes**3
+        return x, terms, 0.0
     if method == "monte_carlo":
         if samples <= 0:
             raise ValueError("monte_carlo needs samples > 0")
@@ -456,8 +485,8 @@ def twirl_identity_suite(
     One box acting on one wire sends |0><0| and |1><1| to I/2 and kills the
     off-diagonal |0><1|; the same box on both wires sends |00><00| to a third
     of the symmetric projector and kills both |00><11| and the
-    singlet-to-|00> coherence. Exact engines are held to fixed tolerances;
-    Monte Carlo to four standard errors of its own estimate.
+    singlet-to-|00> coherence. Both exact engines are held to 1e-12; Monte
+    Carlo to four standard errors of its own estimate.
     """
     eye2 = np.eye(2, dtype=complex) / 2.0
     p_sym, _ = states.sym_antisym_projectors((0, 1), 2)
@@ -491,7 +520,6 @@ def twirl_identity_suite(
             zeros4,
         ),
     ]
-    fixed_tol = {"design": 1e-12, "quadrature": 1e-9}
     checks = []
     for method in methods:
         if method not in _METHODS:
@@ -506,6 +534,6 @@ def twirl_identity_suite(
                 seed=seed + offset,
             )
             deviation = float(np.max(np.abs(avg - expected)))
-            tol = fixed_tol.get(method, 4.0 * stderr)
+            tol = 4.0 * stderr if method == "monte_carlo" else 1e-12
             checks.append(IdentityCheck(name, method, deviation, tol, deviation <= tol))
     return checks

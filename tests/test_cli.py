@@ -120,6 +120,14 @@ class TestRunOutputs:
         )
         assert code == 0 and ",quadrature," in out.splitlines()[1]
 
+    def test_all_pass_at_smallest_accepted_nodes(self, capsys):
+        code, out, _ = run_main(
+            capsys, "--all", "--method", "quadrature", "--nodes", "8", "--format", "csv"
+        )
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == len(SCENARIO_IDS)
+        assert all(row.endswith(",true") for row in rows)
+
     def test_monte_carlo_run_is_deterministic(self, capsys):
         argv = (
             "--scenario",

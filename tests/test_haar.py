@@ -168,15 +168,38 @@ class TestAveragePattern:
 
 
 class TestEngineAgreement:
-    @pytest.mark.parametrize("pattern", ["UU", "UV", "UVU", "UVVU"])
-    def test_design_vs_quadrature(self, pattern):
+    # Runs at the default node count keep the bare pattern as their id.
+    @pytest.mark.parametrize(
+        "pattern,nodes",
+        [
+            pytest.param(p, n, id=p if n == haar.DEFAULT_NODES else f"{p}-{n}")
+            for p in ("UU", "UV", "UVU", "UVVU", "UVVV", "UUUV")
+            for n in (8, 16, 24)
+        ],
+    )
+    def test_design_vs_quadrature(self, pattern, nodes):
         rng = np.random.default_rng(11)
         n = len(pattern)
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         d = average_pattern(psi, pattern, "design").rho
-        q = average_pattern(psi, pattern, "quadrature").rho
-        assert np.max(np.abs(d - q)) <= 1e-8
+        q = average_pattern(psi, pattern, "quadrature", nodes=nodes)
+        assert q.samples == nodes**3
+        assert np.max(np.abs(d - q.rho)) <= 1e-12
+
+    def test_quadrature_below_exact_node_count_rejected(self):
+        with pytest.raises(ValueError, match="nodes"):
+            average_pattern(states.bell("psi-"), "UU", "quadrature", nodes=6)
+
+    def test_cached_channels_stable_and_read_only(self):
+        x = states.density(states.approx_double_singlet_3q())
+        first, _, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
+        twirl_operator(x, "UVU", "quadrature", nodes=8)
+        last, _, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
+        assert np.array_equal(first, last)
+        channel = haar._twirl_channel("quadrature", 24, 2)
+        with pytest.raises(ValueError):
+            channel[0, 0, 0, 0] = 1.0
 
     def test_monte_carlo_within_four_stderr(self):
         psi = states.approx_double_singlet_3q()
@@ -224,8 +247,7 @@ class TestTwirlIdentitySuite:
         assert len(checks) == 12
         for c in checks:
             assert c.passed, f"{c.identity} under {c.method}: {c.deviation}"
-        design = [c for c in checks if c.method == "design"]
-        assert all(c.tolerance == 1e-12 for c in design)
+        assert all(c.tolerance == 1e-12 for c in checks)
 
     def test_monte_carlo_within_own_stderr(self):
         checks = haar.twirl_identity_suite(methods=("monte_carlo",), samples=20000)
