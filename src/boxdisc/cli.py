@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import scenarios
+from . import haar, scenarios
 
 #: Record fields, in output order, for the JSON and table formats.
 RECORD_FIELDS = (
@@ -41,7 +41,7 @@ class CliConfig:
     method: str = "design"
     samples: int = 0
     seed: int = 0
-    quadrature_nodes: int = 24
+    quadrature_nodes: int = haar.DEFAULT_NODES
     format: str = "table"
     tolerance_overrides: dict | None = None
 
@@ -221,9 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--nodes",
         type=int,
-        default=24,
+        default=haar.DEFAULT_NODES,
         metavar="N",
-        help="quadrature nodes per angle, at least 8 (default: 24)",
+        help=f"quadrature nodes per angle, at least 8 (default: {haar.DEFAULT_NODES})",
     )
     parser.add_argument(
         "--format",

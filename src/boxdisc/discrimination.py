@@ -281,30 +281,24 @@ def jordan_bases(s1: Subspace, s2: Subspace) -> list:
     ]
 
 
-def _max_block_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray) -> float:
-    """Largest w keeping I - w(|z_u><z_u| + |z_v><z_v|) PSD on span{u, v}.
+def _pair_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray, c: float) -> float:
+    """Boundary weight 1/(1+c) of one overlapping pair, checked on its block.
 
-    Pure bisection on the smallest block eigenvalue; the caller cross-checks
-    the result against the closed form 1/(1+cosine).
+    On span{u, v}, I - w(|z_u><z_u| + |z_v><z_v|) must keep its smallest
+    eigenvalue at 0 within 1e-12: not below, so the failure element stays
+    positive, and not above, so the weight sits on the positivity boundary.
     """
+    w = 1.0 / (1.0 + c)
     q2 = v - (u.conj() @ v) * u
     q2 /= np.linalg.norm(q2)
     basis = np.column_stack([u, q2])
     block = basis.conj().T @ (np.outer(z_u, z_u.conj()) + np.outer(z_v, z_v.conj())) @ basis
-
-    def feasible(w: float) -> bool:
-        return float(np.min(np.linalg.eigvalsh(np.eye(2) - w * block))) >= 0.0
-
-    lo, hi = 0.0, 1.5
-    if feasible(hi):  # cannot happen for a genuine overlap, but stay safe
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lam_min = float(np.min(np.linalg.eigvalsh(np.eye(2) - w * block)))
+    if abs(lam_min) > 1e-12:
+        raise RuntimeError(
+            f"pair weight {w} leaves smallest block eigenvalue {lam_min}, not 0"
+        )
+    return w
 
 
 def unambiguous_subspace_povm(
@@ -318,8 +312,8 @@ def unambiguous_subspace_povm(
     genuinely overlapping pair contributes one rank-one element per side,
     built on the direction orthogonal to the opposing vector within the pair
     block, with the symmetric weight pushed to the positivity boundary of the
-    failure element; the bisected weight must agree with 1/(1+cosine) to 1e-9
-    or construction aborts.
+    failure element, 1/(1+cosine); unless that weight leaves the pair block's
+    smallest eigenvalue at 0 within 1e-12, construction aborts.
 
     If one support contains the other, the contained state can never be
     identified; that degenerate case is flagged with a warning and a zero
@@ -351,15 +345,11 @@ def unambiguous_subspace_povm(
             e1 += np.outer(ui, ui.conj())
             e2 += np.outer(vi, vi.conj())
             continue
-        s = np.sqrt(1.0 - c * c)
-        z_u = (ui - c * vi) / s  # orthogonal to v_i within the block
-        z_v = (vi - c * ui) / s
-        w = _max_block_weight(ui, vi, z_u, z_v)
-        target = 1.0 / (1.0 + c)
-        if abs(w - target) > 1e-9:
-            raise RuntimeError(
-                f"bisected pair weight {w} disagrees with closed form {target}"
-            )
+        z_u = ui - (vi.conj() @ ui) * vi  # orthogonal to v_i within the block
+        z_u /= np.linalg.norm(z_u)
+        z_v = vi - (ui.conj() @ vi) * ui
+        z_v /= np.linalg.norm(z_v)
+        w = _pair_weight(ui, vi, z_u, z_v, c)
         e1 += w * np.outer(z_u, z_u.conj())
         e2 += w * np.outer(z_v, z_v.conj())
     for i in range(paired, s1.dim):

@@ -22,12 +22,18 @@ Three engines compute that integral:
   bound reported alongside the estimate.
 
 The two boxes are independent, so the exact engines average one label at a
-time, while the Monte Carlo engine draws joint samples. For k wires sharing a
-label the exact average is one fixed channel, the k-copy twirl
-T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends on the rule and
-on k only. Each T_k is built once per process from the 24 group elements or
-nodes**3 grid points, then kept (at most 8**4 entries); every later average
-with the same rule only applies it.
+time. For k wires sharing a label the exact average is one fixed channel, the
+k-copy twirl T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends
+on the rule and on k only. Each T_k is built once per process from the 24
+group elements or nodes**3 grid points, then kept (at most 8**4 entries);
+every later average with the same rule only applies it.
+
+The Monte Carlo engine draws joint samples of both boxes from one kernel,
+shared with the per-sample circuit simulation of the scenarios: draw_boxes
+yields seeded chunks of gate stacks, and apply_boxes puts them on a batch of
+kets or operator columns one wire at a time, so the full 2**n x 2**n W is
+never built. An operator average W x W+ is two such passes, W x and then
+W (W x)+.
 """
 
 from __future__ import annotations
@@ -325,58 +331,70 @@ def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int):
     return linalg.permute_qubits(y, np.argsort(perm))
 
 
-def _shard_sizes(samples: int, shards: int):
-    base, extra = divmod(samples, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
+def draw_boxes(samples: int, seed, labels):
+    """Seeded Haar-random gates for the boxes named in ``labels``, in chunks.
+
+    ``default_rng(seed)`` (seed an int or a SeedSequence) fills one block of
+    samples x 4 normals for "U" if it occurs in ``labels``, then one for "V";
+    each normalized row is a unit quaternion. Chunking the blocks into at most
+    _MC_CHUNK samples bounds memory without changing the stream.
+
+    Yields (m, gates) per chunk: gates maps each drawn label to an (m, 2, 2)
+    stack of unitaries. m is yielded on its own because an all-idle pattern
+    draws nothing.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = {box: rng.normal(size=(samples, 4)) for box in ("U", "V") if box in labels}
+    for lo in range(0, samples, _MC_CHUNK):
+        hi = min(lo + _MC_CHUNK, samples)
+        gates = {}
+        for box, q in blocks.items():
+            q = q[lo:hi]
+            gates[box] = _quaternions_to_su2(q / np.linalg.norm(q, axis=1, keepdims=True))
+        yield hi - lo, gates
 
 
-def _mc_operator_average(x, pattern, samples, seed, shards):
-    """Joint Monte Carlo average of W x W+ with streaming moment accumulators."""
-    n = len(pattern)
-    dim = 2**n
-    wires_u = pattern.wires("U")
-    wires_v = pattern.wires("V")
+def apply_boxes(batch: np.ndarray, pattern, gates) -> np.ndarray:
+    """W_s batch[s] for a batch of shape (m, d, r), applied wire by wire.
+
+    W_s puts gates[label][s] on every wire carrying that label and leaves idle
+    wires alone; wire 0 is the leading qubit of the d = 2**n rows. The batch
+    may be a broadcast view. Each wire costs O(m d r), and W itself is never
+    formed.
+    """
+    m, d, r = batch.shape
+    out = batch
+    for wire, label in enumerate(as_pattern(pattern).labels):
+        if label == "I":
+            continue
+        g = gates[label][:, None, :, :, None, None]  # (m, 1, out bit, in bit, 1, 1)
+        o = out.reshape(m, 2**wire, 2, -1, r)  # (m, wires before, in bit, after, r)
+        new = g[:, :, :, 0] * o[:, :, None, 0]
+        new += g[:, :, :, 1] * o[:, :, None, 1]
+        out = new
+    return out.reshape(m, d, r)
+
+
+def _mc_operator_average(x, pattern, samples, seed):
+    """Monte Carlo average of W x W+ with streaming moment accumulators.
+
+    Two passes of apply_boxes give W (W x)+ = (W x W+)+ per sample, so the
+    sums are conjugate-transposed once at the end. Deviations from x are
+    accumulated: an all-idle pattern then returns x with stderr 0.
+    """
+    dim = x.shape[0]
+    x_h = x.conj().T
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim), dtype=float)
-    for shard, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(seed + shard)
-        # One block of normals per box label, in a fixed order, keeps the
-        # stream layout independent of chunking.
-        qu = rng.normal(size=(size, 4)) if wires_u else None
-        qv = rng.normal(size=(size, 4)) if wires_v else None
-        for lo in range(0, size, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, size)
-            ws = _batch_full_unitaries(pattern, qu, qv, lo, hi)
-            y = np.einsum("mij,jk,mlk->mil", ws, x, ws.conj())
-            total += y.sum(axis=0)
-            total_sq += (np.abs(y) ** 2).sum(axis=0)
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
+    for m, gates in draw_boxes(samples, seed, pattern.labels):
+        wx = apply_boxes(np.broadcast_to(x, (m, dim, dim)), pattern, gates)
+        y = apply_boxes(wx.conj().transpose(0, 2, 1), pattern, gates) - x_h
+        total += y.sum(axis=0)
+        total_sq += (np.abs(y) ** 2).sum(axis=0)
+    shift = total.conj().T / samples
+    var = np.maximum(total_sq.T / samples - np.abs(shift) ** 2, 0.0)
     stderr = float(np.max(np.sqrt(var / samples)))
-    return mean, stderr
-
-
-def _batch_unitaries(q: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    block = q[lo:hi]
-    block = block / np.linalg.norm(block, axis=1, keepdims=True)
-    return _quaternions_to_su2(block)
-
-
-def _batch_full_unitaries(pattern, qu, qv, lo, hi):
-    """Stack of full-register unitaries W for one chunk of samples."""
-    m = hi - lo
-    us = _batch_unitaries(qu, lo, hi) if qu is not None else None
-    vs = _batch_unitaries(qv, lo, hi) if qv is not None else None
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2))
-    out = np.ones((m, 1, 1), dtype=complex)
-    dim = 1
-    for label in pattern.labels:
-        factor = us if label == "U" else vs if label == "V" else eye
-        out = np.einsum("mab,mcd->macbd", out, factor).reshape(m, dim * 2, dim * 2)
-        dim *= 2
-    return out
+    return x + shift, stderr
 
 
 def twirl_operator(
@@ -386,15 +404,13 @@ def twirl_operator(
     *,
     nodes: int = DEFAULT_NODES,
     samples: int = 0,
-    seed: int = 0,
-    shards: int = 1,
-    label_order: tuple = ("U", "V"),
+    seed=0,
 ):
     """Average W x W+ over both boxes for an arbitrary square operator.
 
     The exact engines average one label after the other; the boxes are
-    independent, so the order is immaterial (label_order exists to let tests
-    check exactly that). Monte Carlo draws joint samples instead.
+    independent, so the order is immaterial. Monte Carlo draws joint samples
+    instead, seeded by ``seed`` (an int or a SeedSequence).
 
     Returns
     -------
@@ -407,23 +423,19 @@ def twirl_operator(
     x = np.asarray(x, dtype=complex)
     if x.shape != (2**n, 2**n):
         raise ValueError(f"operator shape {x.shape} does not match pattern {pattern}")
-    if sorted(label_order) != ["U", "V"]:
-        raise ValueError(f"label_order must list U and V once, got {label_order}")
     if method in ("design", "quadrature"):
         if method == "quadrature" and nodes < MIN_NODES:
             raise ValueError(
                 f"quadrature needs at least {MIN_NODES} nodes per angle, got {nodes}"
             )
-        for label in label_order:
+        for label in ("U", "V"):
             x = _twirl_one_label(x, pattern.wires(label), n, method, nodes)
         terms = len(clifford_group()) if method == "design" else nodes**3
         return x, terms, 0.0
     if method == "monte_carlo":
         if samples <= 0:
             raise ValueError("monte_carlo needs samples > 0")
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        mean, stderr = _mc_operator_average(x, pattern, samples, seed, shards)
+        mean, stderr = _mc_operator_average(x, pattern, samples, seed)
         return mean, samples, stderr
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
@@ -435,8 +447,7 @@ def average_pattern(
     *,
     nodes: int = DEFAULT_NODES,
     samples: int = 0,
-    seed: int = 0,
-    shards: int = 1,
+    seed=0,
 ) -> AverageResult:
     """Average |psi><psi| under a box pattern with the chosen engine.
 
@@ -456,7 +467,6 @@ def average_pattern(
         nodes=nodes,
         samples=samples,
         seed=seed,
-        shards=shards,
     )
     states.check_density(rho)
     return AverageResult(rho, method, count, stderr)
@@ -486,7 +496,8 @@ def twirl_identity_suite(
     off-diagonal |0><1|; the same box on both wires sends |00><00| to a third
     of the symmetric projector and kills both |00><11| and the
     singlet-to-|00> coherence. Both exact engines are held to 1e-12; Monte
-    Carlo to four standard errors of its own estimate.
+    Carlo to four standard errors of its own estimate, with one independent
+    stream per identity spawned from ``seed``.
     """
     eye2 = np.eye(2, dtype=complex) / 2.0
     p_sym, _ = states.sym_antisym_projectors((0, 1), 2)
@@ -520,18 +531,19 @@ def twirl_identity_suite(
             zeros4,
         ),
     ]
+    case_seeds = np.random.SeedSequence(seed).spawn(len(cases))
     checks = []
     for method in methods:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
-        for offset, (name, x, pattern, expected) in enumerate(cases):
+        for (name, x, pattern, expected), case_seed in zip(cases, case_seeds):
             avg, _, stderr = twirl_operator(
                 x,
                 pattern,
                 method,
                 nodes=nodes,
                 samples=samples if method == "monte_carlo" else 0,
-                seed=seed + offset,
+                seed=case_seed,
             )
             deviation = float(np.max(np.abs(avg - expected)))
             tol = 4.0 * stderr if method == "monte_carlo" else 1e-12

@@ -425,7 +425,7 @@ def build_scenario(scenario_id: str) -> Scenario:
     return builder()
 
 
-def _mc_figure(scenario: Scenario, samples: int, seed: int, shards: int = 1):
+def _mc_figure(scenario: Scenario, samples: int, seed: int):
     """Per-sample Monte Carlo estimate of the scenario's analytic figure.
 
     Draws one (box U, box V) pair per sample, runs the actual circuit for
@@ -435,11 +435,7 @@ def _mc_figure(scenario: Scenario, samples: int, seed: int, shards: int = 1):
     """
     if samples <= 0:
         raise ValueError("Monte Carlo needs samples > 0")
-    if shards <= 0:
-        raise ValueError("shards must be positive")
     p1, p2 = scenario.pattern1, scenario.pattern2
-    need_u = bool(p1.wires("U") or p2.wires("U"))
-    need_v = bool(p1.wires("V") or p2.wires("V"))
     elements = {l: np.asarray(e) for l, e in scenario.povm.elements.items()}
     if scenario.mode == "unambiguous":
         score = {
@@ -451,45 +447,23 @@ def _mc_figure(scenario: Scenario, samples: int, seed: int, shards: int = 1):
             i: [elements[l] for l, t in scenario.mapping.items() if int(t) != i]
             for i in range(2)
         }
+    psi = scenario.state[:, None]
     total = 0.0
     total_sq = 0.0
-    for shard, size in enumerate(haar._shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(seed + shard)
-        qu = rng.normal(size=(size, 4)) if need_u else None
-        qv = rng.normal(size=(size, 4)) if need_v else None
-        for lo in range(0, size, haar._MC_CHUNK):
-            hi = min(lo + haar._MC_CHUNK, size)
-            us = haar._batch_unitaries(qu, lo, hi) if need_u else None
-            vs = haar._batch_unitaries(qv, lo, hi) if need_v else None
-            values = np.zeros(hi - lo)
-            for i, pattern in enumerate((p1, p2)):
-                out = _apply_boxes(scenario.state, pattern, us, vs, hi - lo)
-                for e in score[i]:
-                    values += scenario.priors[i] * np.real(
-                        np.einsum("mi,ij,mj->m", out.conj(), e, out)
-                    )
-            total += float(values.sum())
-            total_sq += float((values**2).sum())
+    for m, gates in haar.draw_boxes(samples, seed, p1.labels + p2.labels):
+        kets = np.broadcast_to(psi, (m,) + psi.shape)
+        values = np.zeros(m)
+        for i, pattern in enumerate((p1, p2)):
+            out = haar.apply_boxes(kets, pattern, gates).reshape(m, -1)
+            for e in score[i]:
+                values += scenario.priors[i] * np.real(
+                    np.einsum("mi,ij,mj->m", out.conj(), e, out)
+                )
+        total += float(values.sum())
+        total_sq += float((values**2).sum())
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     return mean, float(np.sqrt(var / samples))
-
-
-def _apply_boxes(psi, pattern, us, vs, m):
-    """Apply per-wire boxes to a batch of copies of psi; returns (m, dim)."""
-    n = len(pattern)
-    letters = "abcdefghijkl"[:n]
-    out = np.broadcast_to(psi.reshape((2,) * n), (m,) + (2,) * n)
-    for wire, label in enumerate(pattern.labels):
-        if label == "I":
-            continue
-        gates = us if label == "U" else vs
-        src = "m" + letters
-        dst = "m" + letters[:wire] + "z" + letters[wire + 1 :]
-        out = np.einsum(f"mz{letters[wire]},{src}->{dst}", gates, out)
-    return out.reshape(m, 2**n)
 
 
 def run_scenario(
@@ -499,7 +473,6 @@ def run_scenario(
     seed: int = 0,
     *,
     nodes: int = haar.DEFAULT_NODES,
-    shards: int = 1,
     pass_tol: float = PASS_TOL,
     mc_sigma: float = MC_SIGMA,
 ) -> ScenarioResult:
@@ -541,7 +514,7 @@ def run_scenario(
         metadata["povm_error"] = float(povm_error)
     mc_estimate = mc_stderr = None
     if mc_samples > 0:
-        mc_estimate, mc_stderr = _mc_figure(scenario, mc_samples, seed, shards)
+        mc_estimate, mc_stderr = _mc_figure(scenario, mc_samples, seed)
     passed = abs(analytic - scenario.paper_value) <= pass_tol
     if mc_estimate is not None:
         passed = passed and abs(mc_estimate - analytic) <= mc_sigma * mc_stderr
@@ -566,7 +539,6 @@ def run_all(
     seed: int = 0,
     *,
     nodes: int = haar.DEFAULT_NODES,
-    shards: int = 1,
     pass_tol: float = PASS_TOL,
     mc_sigma: float = MC_SIGMA,
 ) -> list:
@@ -578,7 +550,6 @@ def run_all(
             mc_samples,
             seed,
             nodes=nodes,
-            shards=shards,
             pass_tol=pass_tol,
             mc_sigma=mc_sigma,
         )

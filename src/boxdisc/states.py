@@ -110,12 +110,21 @@ def embed_operator(op: np.ndarray, wires, n: int) -> np.ndarray:
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} wires")
     full = op if n == k else np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    return linalg.permute_qubits(full, _placement(wires, n))
+
+
+def _placement(wires, n: int) -> list:
+    """Qubit permutation that moves leading factor k onto wires[k].
+
+    The remaining factors fill the other wires in order. Feed it to
+    permute_qubits together with a register whose first len(wires) qubits
+    are the factors being placed.
+    """
     perm = [-1] * n
     for pos, w in enumerate(wires):
         perm[w] = pos
-    rest = iter(range(k, n))
-    perm = [p if p >= 0 else next(rest) for p in perm]
-    return linalg.permute_qubits(full, perm)
+    rest = iter(range(len(wires), n))
+    return [p if p >= 0 else next(rest) for p in perm]
 
 
 def sym_antisym_projectors(pair, n: int = 2):
@@ -197,9 +206,4 @@ def double_singlet(pairs=((0, 2), (1, 3)), n: int = 4) -> np.ndarray:
     core = np.kron(bell("psi-"), bell("psi-"))
     if n > 4:
         core = np.kron(core, ket("0" * (n - 4)))
-    perm = [-1] * n
-    for pos, w in enumerate(wires):
-        perm[w] = pos
-    rest = iter(range(4, n))
-    perm = [p if p >= 0 else next(rest) for p in perm]
-    return linalg.permute_qubits(core, perm)
+    return linalg.permute_qubits(core, _placement(wires, n))

@@ -288,6 +288,15 @@ class TestUnambiguousSubspacePovm:
         assert w == pytest.approx(1.0 / (1.0 + c), abs=1e-9)
         assert validate_povm(povm).valid
 
+    @pytest.mark.parametrize("angle", [1e-4, 1e-3, 1e-2])
+    def test_near_parallel_lines_take_closed_form_weight(self, angle):
+        povm = unambiguous_subspace_povm(
+            one_dim_subspace([1, 0]), one_dim_subspace([np.cos(angle), np.sin(angle)])
+        )
+        w = float(np.real(np.trace(povm.elements["identify-1"])))
+        assert w == pytest.approx(1.0 / (1.0 + np.cos(angle)), abs=1e-15)
+        assert validate_povm(povm).valid
+
     @given(st.floats(0.1, 1.4))
     @settings(max_examples=30)
     def test_annihilates_opposing_line(self, angle):
