@@ -25,8 +25,10 @@ The two boxes are independent, so the exact engines average one label at a
 time. For k wires sharing a label the exact average is one fixed channel, the
 k-copy twirl T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends
 on the rule and on k only. Each T_k is built once per process from the 24
-group elements or nodes**3 grid points, then kept (at most 8**4 entries);
-every later average with the same rule only applies it.
+group elements or nodes**3 grid points as a weighted Gram matrix, one matrix
+product per chunk of elements, then kept as a 4**k x 4**k matrix (at most
+64 x 64); every later average with the same rule applies it as one matrix
+product on the operator with the label's wires moved to the front.
 
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, states
+from . import states
 
 #: Largest number of wires a single label may occupy while the Clifford sum
 #: is still exact.
@@ -59,7 +61,9 @@ DEFAULT_NODES = 24
 
 _METHODS = ("design", "quadrature", "monte_carlo")
 
-_MC_CHUNK = 4096
+#: Most group elements or samples held at once: bounds the memory of the
+#: channel build and of each Monte Carlo draw.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -153,28 +157,26 @@ def su2_from_params(params: Su2Params) -> np.ndarray:
     theta=0 gives the identity regardless of axis; theta=pi with mu=0 gives
     diag(-i, i).
     """
-    axis = np.array(
-        [
-            np.sin(params.mu) * np.cos(params.phi),
-            np.sin(params.mu) * np.sin(params.phi),
-            np.cos(params.mu),
-        ]
-    )
-    h = axis[0] * linalg.PAULI_X + axis[1] * linalg.PAULI_Y + axis[2] * linalg.PAULI_Z
-    return np.cos(params.theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(
-        params.theta / 2
-    ) * h
+    sin_mu = np.sin(params.mu)
+    axis = (sin_mu * np.cos(params.phi), sin_mu * np.sin(params.phi), np.cos(params.mu))
+    return _su2_rotation(params.theta, axis)
 
 
-def sample_haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """One group element drawn uniformly, via a normalized 4-d Gaussian.
+def _su2_rotation(theta, axis) -> np.ndarray:
+    """exp(-i theta/2 n.sigma) for rotation angles and unit axes n, vectorised.
 
-    The unit quaternion (a, b, c, d) maps to a*I + i(b*sx + c*sy + d*sz),
-    which has unit determinant by construction.
+    ``axis`` holds the three axis components, each broadcastable against
+    ``theta``; the result has shape theta.shape + (2, 2).
     """
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return _quaternions_to_su2(q[None, :])[0]
+    axis_x, axis_y, axis_z = axis
+    cos_half = np.cos(theta / 2)
+    sin_half = np.sin(theta / 2)
+    u = np.empty(np.shape(cos_half) + (2, 2), dtype=complex)
+    u[..., 0, 0] = cos_half - 1j * sin_half * axis_z
+    u[..., 0, 1] = -1j * sin_half * (axis_x - 1j * axis_y)
+    u[..., 1, 0] = -1j * sin_half * (axis_x + 1j * axis_y)
+    u[..., 1, 1] = cos_half + 1j * sin_half * axis_z
+    return u
 
 
 def _quaternions_to_su2(q: np.ndarray) -> np.ndarray:
@@ -261,17 +263,7 @@ def _quadrature_elements(nodes: int):
     tg, pg, xg = tg.reshape(-1), pg.reshape(-1), xg.reshape(-1)
 
     sin_mu = np.sqrt(1.0 - xg**2)
-    axis_x = sin_mu * np.cos(pg)
-    axis_y = sin_mu * np.sin(pg)
-    axis_z = xg
-    cos_half = np.cos(tg / 2)
-    sin_half = np.sin(tg / 2)
-    u = np.empty((tg.size, 2, 2), dtype=complex)
-    u[:, 0, 0] = cos_half - 1j * sin_half * axis_z
-    u[:, 0, 1] = -1j * sin_half * (axis_x - 1j * axis_y)
-    u[:, 1, 0] = -1j * sin_half * (axis_x + 1j * axis_y)
-    u[:, 1, 1] = cos_half + 1j * sin_half * axis_z
-    return u, wg
+    return _su2_rotation(tg, (sin_mu * np.cos(pg), sin_mu * np.sin(pg), xg)), wg
 
 
 def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
@@ -293,10 +285,14 @@ _CHANNELS = {}
 
 
 def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
-    """Read-only k-copy twirl channel of an exact engine, indexed (c, d, a, b).
+    """Read-only k-copy twirl channel of an exact engine, a 4**k x 4**k matrix.
 
-    T[c, d, a, b] = sum_m w_m U_m^{(x)k}[c, a] conj(U_m^{(x)k})[d, b], so the
-    average of |a><b| on the k wires is sum_cd T[c, d, a, b] |c><d|.
+    T[(c, d), (a, b)] = sum_m w_m U_m^{(x)k}[c, a] conj(U_m^{(x)k})[d, b], so
+    the average of |a><b| on the k wires is sum_cd T[(c, d), (a, b)] |c><d|.
+    The sum is the weighted Gram matrix G = A^T diag(w) conj(A) of the matrix
+    A whose rows are the flattened U_m^{(x)k}, G[(c, a), (d, b)] = T[(c, d),
+    (a, b)]; it is accumulated with one matrix product per _CHUNK elements,
+    so the full stack of k-fold Kronecker powers is never held.
     """
     key = (method, nodes if method == "quadrature" else None, k)
     t = _CHANNELS.get(key)
@@ -306,8 +302,12 @@ def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
             weights = np.full(len(us), 1.0 / len(us))
         else:
             us, weights = _quadrature_elements(nodes)
-        uk = _kron_stack(us, k)
-        t = np.einsum("mca,mdb,m->cdab", uk, uk.conj(), weights)
+        da = 2**k
+        gram = np.zeros((da * da, da * da), dtype=complex)
+        for lo in range(0, len(us), _CHUNK):
+            a = _kron_stack(us[lo : lo + _CHUNK], k).reshape(-1, da * da)
+            gram += a.T @ (weights[lo : lo + _CHUNK, None] * a.conj())
+        t = gram.reshape(da, da, da, da).transpose(0, 2, 1, 3).reshape(da * da, da * da)
         t.flags.writeable = False
         _CHANNELS[key] = t
     return t
@@ -316,19 +316,19 @@ def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
 def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int):
     """Average W x W+ where W puts the same element on every wire in ``wires``.
 
-    Applies the label's k-copy channel with the acting wires permuted to the
-    front.
+    Moves the label's row and column qubits to the front, so the operator is
+    a 4**k x 4**(n-k) matrix, and applies the k-copy channel to it with one
+    matrix product.
     """
     k = len(wires)
     if k == 0:
         return x
     t = _twirl_channel(method, nodes, k)
-    da = 2**k
-    db = 2 ** (n - k)
-    perm = tuple(wires) + tuple(w for w in range(n) if w not in wires)
-    xp = linalg.permute_qubits(x, perm).reshape(da, db, da, db)
-    y = np.einsum("cdab,aibj->cidj", t, xp).reshape(da * db, da * db)
-    return linalg.permute_qubits(y, np.argsort(perm))
+    rest = tuple(w for w in range(n) if w not in wires)
+    axes = tuple(wires) + tuple(w + n for w in wires) + rest + tuple(w + n for w in rest)
+    xt = x.reshape((2,) * (2 * n)).transpose(axes).reshape(4**k, -1)
+    y = (t @ xt).reshape((2,) * (2 * n)).transpose(np.argsort(axes))
+    return y.reshape(2**n, 2**n)
 
 
 def draw_boxes(samples: int, seed, labels):
@@ -337,7 +337,7 @@ def draw_boxes(samples: int, seed, labels):
     ``default_rng(seed)`` (seed an int or a SeedSequence) fills one block of
     samples x 4 normals for "U" if it occurs in ``labels``, then one for "V";
     each normalized row is a unit quaternion. Chunking the blocks into at most
-    _MC_CHUNK samples bounds memory without changing the stream.
+    _CHUNK samples bounds memory without changing the stream.
 
     Yields (m, gates) per chunk: gates maps each drawn label to an (m, 2, 2)
     stack of unitaries. m is yielded on its own because an all-idle pattern
@@ -345,8 +345,8 @@ def draw_boxes(samples: int, seed, labels):
     """
     rng = np.random.default_rng(seed)
     blocks = {box: rng.normal(size=(samples, 4)) for box in ("U", "V") if box in labels}
-    for lo in range(0, samples, _MC_CHUNK):
-        hi = min(lo + _MC_CHUNK, samples)
+    for lo in range(0, samples, _CHUNK):
+        hi = min(lo + _CHUNK, samples)
         gates = {}
         for box, q in blocks.items():
             q = q[lo:hi]

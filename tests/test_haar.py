@@ -37,23 +37,24 @@ class TestSu2Params:
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
 
-class TestSampleHaarSu2:
+class TestDrawBoxes:
     @given(seeds)
     def test_special_unitary(self, seed):
-        u = haar.sample_haar_su2(np.random.default_rng(seed))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
-        assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+        ((_, gates),) = haar.draw_boxes(8, seed, "UV")
+        for us in gates.values():
+            gram = np.einsum("mji,mjk->mik", us.conj(), us)
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+            assert np.max(np.abs(np.linalg.det(us) - 1.0)) <= 1e-12
 
     def test_seeded_stream_reproducible(self):
-        a = haar.sample_haar_su2(np.random.default_rng(123))
-        b = haar.sample_haar_su2(np.random.default_rng(123))
-        assert np.array_equal(a, b)
+        ((_, a),) = haar.draw_boxes(5, 123, "UV")
+        ((_, b),) = haar.draw_boxes(5, 123, "UV")
+        assert all(np.array_equal(a[box], b[box]) for box in ("U", "V"))
 
     def test_empirical_single_wire_moments(self):
         # 1e5 samples: E[U|0><0|U+] = I/2 and E[U|0><1|U+] = 0, both within
         # four standard errors of the empirical mean.
-        rng = np.random.default_rng(20250815)
-        us = np.stack([haar.sample_haar_su2(rng) for _ in range(100_000)])
+        us = np.concatenate([g["U"] for _, g in haar.draw_boxes(100_000, 20250815, "U")])
         col0 = us[:, :, 0]
         for target, samples in (
             (np.eye(2) / 2, np.einsum("mi,mj->mij", col0, col0.conj())),
@@ -199,7 +200,25 @@ class TestEngineAgreement:
         assert np.array_equal(first, last)
         channel = haar._twirl_channel("quadrature", 24, 2)
         with pytest.raises(ValueError):
-            channel[0, 0, 0, 0] = 1.0
+            channel[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "method,nodes,k",
+        [("design", None, k) for k in (1, 2, 3)]
+        + [("quadrature", n, k) for n in (7, 8, 16, 24) for k in (1, 2, 3)],
+    )
+    def test_channel_matches_einsum_reference(self, method, nodes, k):
+        t = haar._twirl_channel(method, nodes, k)
+        assert np.max(np.abs(t - _einsum_channel(method, nodes, k))) <= 1e-13
+
+    def test_chunked_channel_build_matches_unchunked(self, monkeypatch):
+        monkeypatch.setattr(haar, "_CHANNELS", {})
+        monkeypatch.setattr(haar, "_CHUNK", 10**9)
+        whole = {m: haar._twirl_channel(m, 8, 3) for m in ("design", "quadrature")}
+        monkeypatch.setattr(haar, "_CHANNELS", {})
+        monkeypatch.setattr(haar, "_CHUNK", 5)
+        for method, t in whole.items():
+            assert np.max(np.abs(haar._twirl_channel(method, 8, 3) - t)) <= 1e-13
 
     def test_monte_carlo_within_four_stderr(self):
         psi = states.approx_double_singlet_3q()
@@ -240,6 +259,21 @@ class TestEngineAgreement:
             linalg.permute_qubits(psi, perm), permuted_pattern
         ).rho
         assert np.max(np.abs(avg_permuted - linalg.permute_qubits(avg, perm))) <= 1e-10
+
+
+def _einsum_channel(method, nodes, k):
+    """k-copy twirl channel as one einsum over the whole element stack.
+
+    The direct definition T[(c, d), (a, b)] = sum_m w_m U[c, a] conj(U[d, b])
+    with U = U_m^{(x)k}, without chunks or matrix products.
+    """
+    if method == "design":
+        us = np.stack(haar.clifford_group())
+        weights = np.full(len(us), 1.0 / len(us))
+    else:
+        us, weights = haar._quadrature_elements(nodes)
+    uk = haar._kron_stack(us, k)
+    return np.einsum("mca,mdb,m->cdab", uk, uk.conj(), weights).reshape(4**k, 4**k)
 
 
 def _kron_reference(x, pattern, samples, seed):
@@ -292,7 +326,7 @@ class TestMonteCarloKernel:
 
     def test_chunked_draw_keeps_stream(self, monkeypatch):
         whole = list(haar.draw_boxes(10, 8, "UV"))
-        monkeypatch.setattr(haar, "_MC_CHUNK", 3)
+        monkeypatch.setattr(haar, "_CHUNK", 3)
         chunks = list(haar.draw_boxes(10, 8, "UV"))
         assert [m for m, _ in chunks] == [3, 3, 3, 1]
         for box in ("U", "V"):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from boxdisc import linalg, states
+from boxdisc import haar, linalg, states
 from boxdisc.discrimination import validate_povm
 from boxdisc.scenarios import (
     SCENARIO_IDS,
+    _mc_figure,
     auxiliary_value,
     build_scenario,
     equivalence_witness_order_refs,
@@ -167,6 +170,52 @@ class TestMonteCarlo:
     def test_four_wire_sampling_matches_analytics(self, sid):
         res = run_scenario(build_scenario(sid), mc_samples=20_000, seed=7)
         assert abs(res.mc_estimate - res.analytic) <= 4 * res.mc_stderr
+
+    @pytest.mark.parametrize(
+        "sid", ("one-ref-minerror", "one-ref-unambiguous", "two-ref-4q-pairwise")
+    )
+    def test_figure_matches_explicit_kron_per_element(self, sid):
+        scenario = build_scenario(sid)
+        mean, stderr = _mc_figure(scenario, 37, 5)
+        ref_mean, ref_stderr = _mc_figure_reference(scenario, 37, 5)
+        assert abs(mean - ref_mean) <= 1e-12 and abs(stderr - ref_stderr) <= 1e-12
+
+    @pytest.mark.parametrize("samples", (7, 5000))
+    def test_constant_figure_has_no_spread(self, samples):
+        scenario = build_scenario("one-ref-minerror")
+        for text, bound in (("II", 0.0), ("UU", 1e-14)):
+            pattern = haar.as_pattern(text)
+            fixed = dataclasses.replace(scenario, pattern1=pattern, pattern2=pattern)
+            assert _mc_figure(fixed, samples, 3)[1] <= bound
+
+
+def _mc_figure_reference(scenario, samples, seed):
+    """Mean and standard error of the Monte Carlo figure, one sample at a time.
+
+    Builds each sample's circuit with np.kron over the same draw_boxes stream
+    and scores every POVM element on its own.
+    """
+    patterns = (scenario.pattern1, scenario.pattern2)
+    labels = patterns[0].labels + patterns[1].labels
+    values = []
+    for m, gates in haar.draw_boxes(samples, seed, labels):
+        for s in range(m):
+            value = 0.0
+            for i, pattern in enumerate(patterns):
+                w = np.ones((1, 1))
+                for label in pattern.labels:
+                    w = np.kron(w, np.eye(2) if label == "I" else gates[label][s])
+                out = w @ scenario.state
+                for label, target in scenario.mapping.items():
+                    right = int(target) == i
+                    if right == (scenario.mode == "unambiguous"):
+                        e = scenario.povm.elements[label]
+                        value += scenario.priors[i] * np.real(
+                            np.einsum("i,ij,j->", out.conj(), e, out)
+                        )
+            values.append(value)
+    values = np.array(values)
+    return values.mean(), values.std() / np.sqrt(samples)
 
 
 class TestSubspaceVersusPairwise:

@@ -89,8 +89,8 @@ class TestPairProjectors:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_singlet_sector_invariant_under_same_box(self, seed):
-        rng = np.random.default_rng(seed)
-        u = haar.sample_haar_su2(rng)
+        ((_, gates),) = haar.draw_boxes(1, seed, "U")
+        u = gates["U"][0]
         _, p_anti = states.sym_antisym_projectors((0, 1), 2)
         w = np.kron(u, u)
         assert np.max(np.abs(w @ p_anti @ w.conj().T - p_anti)) <= 1e-9
@@ -168,8 +168,8 @@ class TestDoubleSinglet:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
     def test_invariant_under_common_box(self, seed):
-        rng = np.random.default_rng(seed)
-        u = haar.sample_haar_su2(rng)
+        ((_, gates),) = haar.draw_boxes(1, seed, "U")
+        u = gates["U"][0]
         psi = states.double_singlet(((0, 2), (1, 3)), 4)
         w = np.kron(np.kron(u, u), np.kron(u, u))
         assert np.max(np.abs(w @ psi - psi)) <= 1e-9
