@@ -53,7 +53,6 @@ from .scenarios import (
     build_scenario,
     equivalence_witness_order_refs,
     load_reference_values,
-    run_all,
     run_scenario,
 )
 from .states import (
@@ -116,7 +115,6 @@ __all__ = [
     "partial_trace",
     "permute_qubits",
     "range_basis",
-    "run_all",
     "run_scenario",
     "singlet_weight_scan",
     "su2_from_params",

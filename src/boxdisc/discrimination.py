@@ -258,6 +258,24 @@ def unambiguous_eval(povm: Povm, hypothesis_states, priors, mapping: dict) -> Un
     return UnambiguousResult(p_success, per_state, cross, failure)
 
 
+def _principal_vectors(s1: Subspace, s2: Subspace):
+    """Principal vectors of two subspaces of one ambient space, with cosines.
+
+    Returns (u, v, cosines): the columns of u are an orthonormal basis of s1
+    and those of v of s2, with <u_i|v_j> = cosines[i] * delta_ij for the
+    min(s1.dim, s2.dim) leading columns; cosines descend and are clipped to
+    [0, 1]. The remaining columns are the unpaired directions.
+    """
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError(
+            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
+        )
+    if min(s1.dim, s2.dim) == 0:
+        return s1.basis, s2.basis, np.zeros(0)
+    left, cosines, right_h = np.linalg.svd(s1.basis.conj().T @ s2.basis)
+    return s1.basis @ left, s2.basis @ right_h.conj().T, np.clip(cosines, 0.0, 1.0)
+
+
 def jordan_bases(s1: Subspace, s2: Subspace) -> list:
     """Principal vector pairs of two subspaces with their overlap cosines.
 
@@ -267,18 +285,8 @@ def jordan_bases(s1: Subspace, s2: Subspace) -> list:
     an orthogonal pair. Unpaired directions (when the dimensions differ) are
     not returned here; the POVM construction handles them internally.
     """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
-        )
-    cross = s1.basis.conj().T @ s2.basis
-    left, cosines, right_h = np.linalg.svd(cross)
-    u = s1.basis @ left
-    v = s2.basis @ right_h.conj().T
-    return [
-        (u[:, i].copy(), v[:, i].copy(), float(np.clip(cosines[i], 0.0, 1.0)))
-        for i in range(min(s1.dim, s2.dim))
-    ]
+    u, v, cosines = _principal_vectors(s1, s2)
+    return [(u[:, i].copy(), v[:, i].copy(), float(c)) for i, c in enumerate(cosines)]
 
 
 def _pair_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray, c: float) -> float:
@@ -319,25 +327,13 @@ def unambiguous_subspace_povm(
     identified; that degenerate case is flagged with a warning and a zero
     identification element rather than an error.
     """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
-        )
+    u, v, cosines = _principal_vectors(s1, s2)
     dim = s1.ambient_dim
-    cross = s1.basis.conj().T @ s2.basis
-    left, cosines, right_h = np.linalg.svd(cross) if min(s1.dim, s2.dim) else (
-        np.eye(s1.dim),
-        np.zeros(0),
-        np.eye(s2.dim),
-    )
-    u = s1.basis @ left
-    v = s2.basis @ right_h.conj().T
 
     e1 = np.zeros((dim, dim), dtype=complex)
     e2 = np.zeros((dim, dim), dtype=complex)
-    paired = min(s1.dim, s2.dim)
-    for i in range(paired):
-        c = float(np.clip(cosines[i], 0.0, 1.0))
+    paired = len(cosines)
+    for i, c in enumerate(cosines):
         ui, vi = u[:, i], v[:, i]
         if c >= 1.0 - cosine_tol:
             continue  # common direction, indistinguishable

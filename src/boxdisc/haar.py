@@ -40,6 +40,7 @@ W (W x)+.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,7 @@ def clifford_group():
     return list(_CLIFFORD_CACHE)
 
 
+@functools.lru_cache(maxsize=None)
 def _quadrature_elements(nodes: int):
     """Product rule over the angle box, weights including the measure.
 
@@ -254,7 +256,8 @@ def _quadrature_elements(nodes: int):
     off by the order of 1e-2. The weights integrate the constant exactly, so they sum to
     1 up to rounding and need no renormalization.
 
-    Returns (stack of unitaries, weights).
+    Returns (stack of unitaries, weights), built once per node count and
+    shared read-only by every caller.
     """
     x, w_x = np.polynomial.legendre.leggauss(nodes)
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
@@ -263,7 +266,10 @@ def _quadrature_elements(nodes: int):
     tg, pg, xg = tg.reshape(-1), pg.reshape(-1), xg.reshape(-1)
 
     sin_mu = np.sqrt(1.0 - xg**2)
-    return _su2_rotation(tg, (sin_mu * np.cos(pg), sin_mu * np.sin(pg), xg)), wg
+    us = _su2_rotation(tg, (sin_mu * np.cos(pg), sin_mu * np.sin(pg), xg))
+    us.flags.writeable = False
+    wg.flags.writeable = False
+    return us, wg
 
 
 def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
@@ -279,8 +285,8 @@ def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
 
 
 #: k-copy twirl channels of the exact engines, keyed by (method, nodes for
-#: quadrature or None, k) and filled on first use. The element stacks they
-#: are built from are dropped after the build.
+#: quadrature or None, k) and filled on first use; the three channels of one
+#: node count share one cached grid.
 _CHANNELS = {}
 
 

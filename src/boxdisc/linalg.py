@@ -23,10 +23,6 @@ RANK_TOL = 1e-10
 #: package means hermiticity_error(m) <= HERM_TOL.
 ComplexMatrix = np.ndarray
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -176,10 +172,6 @@ def hermiticity_error(m: np.ndarray) -> float:
     """Largest entrywise deviation of a matrix from its adjoint."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return hermiticity_error(m) <= tol
 
 
 def herm_eig(m: np.ndarray) -> Spectrum:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import haar, linalg, states
 from .discrimination import (
+    CROSS_TALK_TOL,
     Povm,
     UnambiguousResult,
     helstrom,
@@ -98,8 +99,9 @@ class ScenarioResult:
     analytic comes from deterministic averaging; mc_estimate/mc_stderr are
     None unless a Monte Carlo cross-check ran; cross_talk is None in
     minimum-error mode (no forbidden outcomes there). passed requires the
-    analytic value to match the reference within 1e-9 and, when present, the
-    Monte Carlo estimate to sit within four standard errors of analytic.
+    analytic value to match the reference within PASS_TOL, in unambiguous
+    mode cross_talk at most CROSS_TALK_TOL, and, when present, the Monte
+    Carlo estimate to sit within MC_SIGMA standard errors of analytic.
     """
 
     scenario_id: str
@@ -477,8 +479,6 @@ def run_scenario(
     seed: int = 0,
     *,
     nodes: int = haar.DEFAULT_NODES,
-    pass_tol: float = PASS_TOL,
-    mc_sigma: float = MC_SIGMA,
 ) -> ScenarioResult:
     """Average, score, and compare one scenario against its reference value.
 
@@ -486,6 +486,7 @@ def run_scenario(
     ("design" or "quadrature"); "monte_carlo" keeps the design engine for
     the analytic number and requires mc_samples > 0 for the sampled
     cross-check. mc_samples > 0 adds the cross-check under any method.
+    The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time.
     """
     if method not in ("design", "quadrature", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
@@ -519,9 +520,11 @@ def run_scenario(
     mc_estimate = mc_stderr = None
     if mc_samples > 0:
         mc_estimate, mc_stderr = _mc_figure(scenario, mc_samples, seed)
-    passed = abs(analytic - scenario.paper_value) <= pass_tol
+    passed = abs(analytic - scenario.paper_value) <= PASS_TOL
+    if cross_talk is not None:
+        passed = passed and cross_talk <= CROSS_TALK_TOL
     if mc_estimate is not None:
-        passed = passed and abs(mc_estimate - analytic) <= mc_sigma * mc_stderr
+        passed = passed and abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr
     return ScenarioResult(
         scenario_id=scenario.id,
         mode=scenario.mode,
@@ -535,30 +538,6 @@ def run_scenario(
         citation=scenario.citation,
         metadata=metadata,
     )
-
-
-def run_all(
-    method: str = "design",
-    mc_samples: int = 0,
-    seed: int = 0,
-    *,
-    nodes: int = haar.DEFAULT_NODES,
-    pass_tol: float = PASS_TOL,
-    mc_sigma: float = MC_SIGMA,
-) -> list:
-    """Run every scenario in id order with shared settings."""
-    return [
-        run_scenario(
-            build_scenario(sid),
-            method,
-            mc_samples,
-            seed,
-            nodes=nodes,
-            pass_tol=pass_tol,
-            mc_sigma=mc_sigma,
-        )
-        for sid in SCENARIO_IDS
-    ]
 
 
 @dataclass(frozen=True)

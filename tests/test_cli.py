@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from boxdisc import cli
-from boxdisc.cli import CliConfig, execute, main, render_csv, render_json, render_table
+from boxdisc import cli, scenarios
+from boxdisc.cli import execute, main, render_csv, render_json, render_table
 from boxdisc.scenarios import SCENARIO_IDS
 
 
@@ -149,27 +149,36 @@ class TestRunOutputs:
 
 
 class TestConfigObject:
+    """``execute`` called directly with its run configuration."""
+
     def test_execute_returns_records_and_flag(self):
-        records, ok = execute(CliConfig(scenario_ids=("one-ref-minerror",)))
+        records, ok = execute(("one-ref-minerror",))
         assert ok and len(records) == 1
         assert records[0]["method"] == "design"
 
-    def test_tolerance_override_keys_checked(self):
-        cfg = CliConfig(scenario_ids="all", tolerance_overrides={"bogus": 1.0})
-        problem = cli._check_config(cfg)
-        assert problem is not None and "bogus" in problem
+    def test_tight_tolerance_fails_runs(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "PASS_TOL", 0.0)
+        records, ok = execute(("one-ref-minerror",))
+        assert ok is False and records[0]["pass"] is False
 
-    def test_tight_tolerance_fails_runs(self):
-        cfg = CliConfig(
-            scenario_ids=("one-ref-minerror",), tolerance_overrides={"pass": 0.0}
-        )
-        records, ok = execute(cfg)
-        assert not ok and records[0]["pass"] is False
+    def test_repeated_id_runs_once(self, monkeypatch):
+        ran = []
+        run = scenarios.run_scenario
+
+        def counting_run(scenario, *args, **kwargs):
+            ran.append(scenario.id)
+            return run(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_scenario", counting_run)
+        ids = ["one-ref-unambiguous", "one-ref-minerror", "one-ref-unambiguous"]
+        records, ok = execute(ids)
+        assert ran == ["one-ref-minerror", "one-ref-unambiguous"]
+        assert [rec["scenario"] for rec in records] == ran and ok
 
 
 class TestRendering:
     def sample_records(self):
-        records, _ = execute(CliConfig(scenario_ids=("one-ref-minerror",)))
+        records, _ = execute(("one-ref-minerror",))
         return records
 
     def test_json_round_trip_is_byte_stable(self):

@@ -201,6 +201,11 @@ class TestEngineAgreement:
         channel = haar._twirl_channel("quadrature", 24, 2)
         with pytest.raises(ValueError):
             channel[0, 0] = 1.0
+        us, weights = haar._quadrature_elements(24)
+        assert haar._quadrature_elements(24)[0] is us
+        for grid in (us, weights):
+            with pytest.raises(ValueError):
+                grid[0] = 0.0
 
     @pytest.mark.parametrize(
         "method,nodes,k",

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from boxdisc import haar, linalg, states
+from boxdisc import cli, haar, linalg, scenarios, states
 from boxdisc.discrimination import validate_povm
 from boxdisc.scenarios import (
     SCENARIO_IDS,
@@ -13,7 +13,6 @@ from boxdisc.scenarios import (
     equivalence_witness_order_refs,
     random_pairwise_baseline,
     reference_value,
-    run_all,
     run_scenario,
     symmetric_variant_success,
     two_ref_singlet_with_ancilla,
@@ -71,10 +70,22 @@ class TestAnalyticRuns:
         res = run_scenario(scenario)
         assert res.cross_talk is not None and res.cross_talk <= 1e-9
 
-    def test_run_all_covers_catalog(self):
-        results = run_all(method="design")
-        assert tuple(r.scenario_id for r in results) == EXPECTED_IDS
-        assert all(r.passed for r in results)
+    def test_cross_talk_fails_the_verdict(self):
+        # Both hypotheses use different boxes, so the identification outcome
+        # fires on the wrong one as often as on the right one, while the
+        # success probability still equals the reference 3/8.
+        scenario = dataclasses.replace(
+            build_scenario("one-ref-unambiguous"), pattern1=haar.as_pattern("UV")
+        )
+        res = run_scenario(scenario)
+        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert res.cross_talk == pytest.approx(0.75, abs=1e-12)
+        assert res.passed is False
+
+    def test_execute_covers_catalog(self):
+        records, all_passed = cli.execute(SCENARIO_IDS)
+        assert tuple(rec["scenario"] for rec in records) == EXPECTED_IDS
+        assert all_passed is True and all(rec["pass"] for rec in records)
 
     def test_one_ref_failure_probability(self):
         res = run_scenario(build_scenario("one-ref-unambiguous"))
@@ -82,9 +93,10 @@ class TestAnalyticRuns:
             auxiliary_value("one-ref-failure-prob"), abs=1e-9
         )
 
-    def test_pass_tolerance_override_can_fail_a_run(self):
-        res = run_scenario(build_scenario("one-ref-unambiguous"), pass_tol=0.0)
-        assert not res.passed
+    def test_pass_tolerance_override_can_fail_a_run(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "PASS_TOL", 0.0)
+        res = run_scenario(build_scenario("one-ref-unambiguous"))
+        assert res.passed is False
 
     def test_monte_carlo_method_requires_samples(self):
         with pytest.raises(ValueError):
@@ -159,6 +171,14 @@ class TestMonteCarlo:
         assert r1.mc_stderr == r2.mc_stderr
         assert abs(r1.mc_estimate - r1.analytic) <= 4 * r1.mc_stderr
         assert r1.passed
+
+    def test_zero_sigma_fails_the_cross_check(self, monkeypatch):
+        scenario = build_scenario("one-ref-minerror")
+        assert run_scenario(scenario, mc_samples=2_000, seed=3).passed
+        monkeypatch.setattr(scenarios, "MC_SIGMA", 0.0)
+        res = run_scenario(scenario, mc_samples=2_000, seed=3)
+        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert res.mc_estimate != res.analytic and res.passed is False
 
     def test_seed_changes_the_stream(self):
         scenario = build_scenario("one-ref-minerror")
