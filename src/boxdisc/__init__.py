@@ -27,20 +27,15 @@ from .haar import (
     AverageResult,
     BoxPattern,
     IdentityCheck,
-    Su2Params,
     average_pattern,
     clifford_group,
-    su2_from_params,
     twirl_identity_suite,
     twirl_operator,
 )
 from .linalg import (
-    ComplexMatrix,
     Spectrum,
     abs_eig_sum,
     herm_eig,
-    kron,
-    partial_trace,
     permute_qubits,
     range_basis,
 )
@@ -56,8 +51,6 @@ from .scenarios import (
     run_scenario,
 )
 from .states import (
-    DensityMatrix,
-    PureState,
     approx_double_singlet_3q,
     bell,
     bell_combination,
@@ -75,19 +68,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AverageResult",
     "BoxPattern",
-    "ComplexMatrix",
-    "DensityMatrix",
     "IdentityCheck",
     "MinErrorResult",
     "PermutationWitness",
     "Povm",
     "PovmReport",
-    "PureState",
     "SCENARIO_IDS",
     "Scenario",
     "ScenarioResult",
     "Spectrum",
-    "Su2Params",
     "Subspace",
     "UnambiguousResult",
     "WeightScanRow",
@@ -109,15 +98,12 @@ __all__ = [
     "herm_eig",
     "jordan_bases",
     "ket",
-    "kron",
     "load_reference_values",
     "outcome_probs",
-    "partial_trace",
     "permute_qubits",
     "range_basis",
     "run_scenario",
     "singlet_weight_scan",
-    "su2_from_params",
     "sym_antisym_projectors",
     "twirl_identity_suite",
     "twirl_operator",

@@ -68,28 +68,6 @@ _CHUNK = 4096
 
 
 @dataclass(frozen=True)
-class Su2Params:
-    """Angles (theta, phi, mu) parameterizing a special unitary.
-
-    theta in [0, 2*pi] is the rotation angle; (phi, mu) in
-    [0, 2*pi] x [0, pi] fix the rotation axis (sin(mu)cos(phi),
-    sin(mu)sin(phi), cos(mu)). Out-of-range angles are rejected.
-    """
-
-    theta: float
-    phi: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 2.0 * np.pi:
-            raise ValueError(f"theta={self.theta} outside [0, 2*pi]")
-        if not 0.0 <= self.phi <= 2.0 * np.pi:
-            raise ValueError(f"phi={self.phi} outside [0, 2*pi]")
-        if not 0.0 <= self.mu <= np.pi:
-            raise ValueError(f"mu={self.mu} outside [0, pi]")
-
-
-@dataclass(frozen=True)
 class BoxPattern:
     """Per-wire box assignment, e.g. ("U", "V", "U", "I").
 
@@ -150,17 +128,6 @@ class AverageResult:
     method: str
     samples: int
     stderr_bound: float
-
-
-def su2_from_params(params: Su2Params) -> np.ndarray:
-    """Special unitary for the given angles.
-
-    theta=0 gives the identity regardless of axis; theta=pi with mu=0 gives
-    diag(-i, i).
-    """
-    sin_mu = np.sin(params.mu)
-    axis = (sin_mu * np.cos(params.phi), sin_mu * np.sin(params.phi), np.cos(params.mu))
-    return _su2_rotation(params.theta, axis)
 
 
 def _su2_rotation(theta, axis) -> np.ndarray:

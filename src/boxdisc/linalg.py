@@ -19,10 +19,6 @@ import numpy as np
 HERM_TOL = 1e-12
 RANK_TOL = 1e-10
 
-#: Annotation alias for 2-d complex arrays; "Hermitian" anywhere in this
-#: package means hermiticity_error(m) <= HERM_TOL.
-ComplexMatrix = np.ndarray
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -77,25 +73,6 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def num_qubits(dim: int) -> int:
-    """Wire count for an ambient dimension, rejecting non-powers of two."""
-    n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors).
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Factors; output dimensions are the products of the input dimensions.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
     """Reorder the tensor factors of a state vector or square operator.
 
@@ -130,42 +107,6 @@ def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
         axes = perm + tuple(p + n for p in perm)
         return m.reshape((2,) * (2 * n)).transpose(axes).reshape(dim, dim)
     raise ValueError("expected a state vector or a square matrix")
-
-
-def partial_trace(m: np.ndarray, keep) -> np.ndarray:
-    """Trace out every wire not listed in keep.
-
-    Parameters
-    ----------
-    m : ndarray
-        Square operator on n qubits.
-    keep : iterable of int
-        Wires to retain; they keep their relative order in the output.
-
-    Returns
-    -------
-    ndarray
-        Operator on the kept wires, shape (2**k, 2**k).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("partial_trace expects a square matrix")
-    n = num_qubits(m.shape[0])
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep={keep} is not a subset of wires 0..{n - 1}")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise ValueError(f"register of {n} wires is larger than supported")
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for w in range(n):
-        if w not in keep:
-            col[w] = row[w]  # repeated index contracts (traces) that wire
-    out = "".join(row[w] for w in keep) + "".join(letters[n + w] for w in keep)
-    sub = "".join(row) + "".join(col) + "->" + out
-    d = 2 ** len(keep)
-    return np.einsum(sub, m.reshape((2,) * (2 * n))).reshape(d, d)
 
 
 def hermiticity_error(m: np.ndarray) -> float:

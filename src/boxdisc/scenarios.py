@@ -3,9 +3,12 @@
 Each scenario fixes a test state, the two box patterns it must tell apart,
 a measurement with decision labels, and the reference success (or error)
 probability the implementation has to reproduce. Scenario construction is
-pure; running one averages the state under both hypotheses with the chosen
-engine, scores the measurement, and optionally cross-checks the figure with
-a per-sample Monte Carlo simulation of the actual experiment.
+pure, so build_scenario builds each scenario once per process and hands out
+the same frozen object afterwards: its arrays and mappings are read-only, and
+its POVM is validated once, at construction. Running a scenario averages
+the state under both hypotheses with the chosen engine, scores the
+measurement, and optionally cross-checks the figure with a per-sample Monte
+Carlo simulation of the actual experiment.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
 to the tester, the later ones the boxes under test. All scenarios use equal
@@ -14,9 +17,11 @@ priors.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,11 +29,13 @@ from . import haar, linalg, states
 from .discrimination import (
     CROSS_TALK_TOL,
     Povm,
+    PovmReport,
     UnambiguousResult,
     helstrom,
     outcome_probs,
     unambiguous_eval,
     unambiguous_subspace_povm,
+    validate_povm,
 )
 from .haar import BoxPattern, as_pattern
 
@@ -74,9 +81,23 @@ class PermutationWitness:
     relabel: dict
 
 
+def _read_only(a) -> np.ndarray:
+    """Read-only copy, so freezing never touches the caller's array."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Frozen description of one discrimination task."""
+    """Frozen description of one discrimination task.
+
+    Construction freezes the scenario: the state and every POVM element
+    become read-only array copies, and the POVM's element table, mapping and
+    metadata become read-only mappings. It also keeps validate_povm's report
+    on the POVM in povm_report. dataclasses.replace goes through the same
+    steps, so every scenario carries the report for its own POVM.
+    """
 
     id: str
     state: np.ndarray
@@ -90,6 +111,16 @@ class Scenario:
     mapping: dict
     metadata: dict = field(default_factory=dict)
     witness: PermutationWitness | None = None
+    povm_report: PovmReport = field(init=False)
+
+    def __post_init__(self):
+        elements = {label: _read_only(e) for label, e in self.povm.elements.items()}
+        povm = Povm(MappingProxyType(elements))
+        object.__setattr__(self, "state", _read_only(self.state))
+        object.__setattr__(self, "povm", povm)
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "povm_report", validate_povm(povm))
 
 
 @dataclass(frozen=True)
@@ -98,10 +129,13 @@ class ScenarioResult:
 
     analytic comes from deterministic averaging; mc_estimate/mc_stderr are
     None unless a Monte Carlo cross-check ran; cross_talk is None in
-    minimum-error mode (no forbidden outcomes there). passed requires the
-    analytic value to match the reference within PASS_TOL, in unambiguous
-    mode cross_talk at most CROSS_TALK_TOL, and, when present, the Monte
-    Carlo estimate to sit within MC_SIGMA standard errors of analytic.
+    minimum-error mode (no forbidden outcomes there). passed requires a
+    valid POVM (the scenario's povm_report), the analytic value to match the
+    reference within PASS_TOL, in unambiguous mode cross_talk at most
+    CROSS_TALK_TOL, in minimum-error mode the POVM's own error
+    (metadata["povm_error"]) to match the Helstrom bound within PASS_TOL,
+    and, when present, the Monte Carlo estimate to sit within MC_SIGMA
+    standard errors of analytic.
     """
 
     scenario_id: str
@@ -416,8 +450,9 @@ _BUILDERS = {
 SCENARIO_IDS = tuple(sorted(_BUILDERS))
 
 
+@functools.lru_cache(maxsize=None)
 def build_scenario(scenario_id: str) -> Scenario:
-    """Construct one of the named scenarios from scratch."""
+    """One of the named scenarios, built on the first call and shared after."""
     try:
         builder = _BUILDERS[scenario_id]
     except KeyError:
@@ -486,7 +521,8 @@ def run_scenario(
     ("design" or "quadrature"); "monte_carlo" keeps the design engine for
     the analytic number and requires mc_samples > 0 for the sampled
     cross-check. mc_samples > 0 adds the cross-check under any method.
-    The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time.
+    The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time;
+    the POVM's validity was settled when the scenario was built.
     """
     if method not in ("design", "quadrature", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
@@ -520,9 +556,11 @@ def run_scenario(
     mc_estimate = mc_stderr = None
     if mc_samples > 0:
         mc_estimate, mc_stderr = _mc_figure(scenario, mc_samples, seed)
-    passed = abs(analytic - scenario.paper_value) <= PASS_TOL
-    if cross_talk is not None:
+    passed = scenario.povm_report.valid and abs(analytic - scenario.paper_value) <= PASS_TOL
+    if scenario.mode == "unambiguous":
         passed = passed and cross_talk <= CROSS_TALK_TOL
+    else:
+        passed = passed and abs(metadata["povm_error"] - analytic) <= PASS_TOL
     if mc_estimate is not None:
         passed = passed and abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr
     return ScenarioResult(
@@ -600,7 +638,10 @@ def symmetric_variant_success() -> UnambiguousResult:
 
 
 def two_ref_singlet_with_ancilla(b_state) -> ScenarioResult:
-    """Run the two-reference singlet test with a custom ancilla state."""
+    """Run the two-reference singlet test with a custom ancilla state.
+
+    The variant is built afresh on every call and never enters the cache.
+    """
     return run_scenario(_build_two_ref_singlet(b_state))
 
 

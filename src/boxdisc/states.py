@@ -14,12 +14,6 @@ from . import linalg
 
 NORM_TOL = 1e-12
 
-# Annotation aliases. A PureState is a unit-norm complex vector of length
-# 2**n; a DensityMatrix is Hermitian, unit trace, eigenvalues >= -1e-10.
-# check_density and assert_normalized enforce these at the boundaries.
-PureState = np.ndarray
-DensityMatrix = np.ndarray
-
 _BELL = {
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
     "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0),

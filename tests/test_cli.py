@@ -175,6 +175,19 @@ class TestConfigObject:
         assert ran == ["one-ref-minerror", "one-ref-unambiguous"]
         assert [rec["scenario"] for rec in records] == ran and ok
 
+    def test_execute_builds_through_the_module_attribute(self, monkeypatch):
+        built = []
+        build = scenarios.build_scenario
+
+        def counting_build(sid):
+            built.append(sid)
+            return build(sid)
+
+        monkeypatch.setattr(scenarios, "build_scenario", counting_build)
+        ids = ["two-ref-singlet", "one-ref-minerror", "two-ref-singlet"]
+        _, ok = execute(ids)
+        assert built == ["one-ref-minerror", "two-ref-singlet"] and ok
+
 
 class TestRendering:
     def sample_records(self):

@@ -4,26 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxdisc import haar, linalg, states
-from boxdisc.haar import BoxPattern, Su2Params, average_pattern, twirl_operator
+from boxdisc.haar import BoxPattern, average_pattern, twirl_operator
 
 seeds = st.integers(0, 2**32 - 1)
 
 
+def _su2_from_angles(theta, phi, mu):
+    axis = (np.sin(mu) * np.cos(phi), np.sin(mu) * np.sin(phi), np.cos(mu))
+    return haar._su2_rotation(theta, axis)
+
+
 class TestSu2Params:
-    @pytest.mark.parametrize(
-        "theta,phi,mu",
-        [(-0.1, 0.0, 0.0), (7.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 3.2)],
-    )
-    def test_out_of_range_rejected(self, theta, phi, mu):
-        with pytest.raises(ValueError):
-            Su2Params(theta, phi, mu)
+    """The (theta, phi, mu) angle parameterization behind the quadrature grid."""
 
     def test_zero_rotation_is_identity(self):
-        u = haar.su2_from_params(Su2Params(0.0, 1.0, 1.0))
+        u = _su2_from_angles(0.0, 1.0, 1.0)
         assert np.max(np.abs(u - np.eye(2))) <= 1e-12
 
     def test_pi_rotation_about_z(self):
-        u = haar.su2_from_params(Su2Params(np.pi, 0.0, 0.0))
+        u = _su2_from_angles(np.pi, 0.0, 0.0)
         assert np.max(np.abs(u - np.diag([-1j, 1j]))) <= 1e-12
 
     @given(
@@ -32,7 +31,7 @@ class TestSu2Params:
         st.floats(0, np.pi),
     )
     def test_always_special_unitary(self, theta, phi, mu):
-        u = haar.su2_from_params(Su2Params(theta, phi, mu))
+        u = _su2_from_angles(theta, phi, mu)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 

@@ -8,8 +8,6 @@ from boxdisc.linalg import (
     Subspace,
     abs_eig_sum,
     herm_eig,
-    kron,
-    partial_trace,
     permute_qubits,
     range_basis,
 )
@@ -25,31 +23,7 @@ def random_hermitian(rng, dim):
     return a + a.conj().T
 
 
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
-
-
 seeds = st.integers(0, 2**32 - 1)
-
-
-class TestKron:
-    def test_known_product(self):
-        a = np.array([[1, 2], [3, 4]])
-        b = np.eye(2)
-        out = kron(a, b)
-        assert out.shape == (4, 4)
-        assert out[0, 0] == 1 and out[1, 1] == 1 and out[2, 0] == 3
-
-    @given(seeds)
-    def test_trace_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 4)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12 * (
-            1 + abs(np.trace(a) * np.trace(b))
-        )
 
 
 class TestPermuteQubits:
@@ -101,34 +75,6 @@ class TestPermuteQubits:
             e[i] = 1.0
             p[:, i] = permute_qubits(e, perm)
         assert np.max(np.abs(permute_qubits(m, perm) - p @ m @ p.conj().T)) <= 1e-12
-
-
-class TestPartialTrace:
-    @given(seeds)
-    def test_preserves_trace_and_positivity(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, 8)
-        red = partial_trace(rho, (0, 2))
-        assert abs(np.trace(red) - np.trace(rho)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh((red + red.conj().T) / 2)) >= -1e-10
-
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(5)
-        a = random_density(rng, 2)
-        b = random_density(rng, 2)
-        c = random_density(rng, 2)
-        rho = kron(kron(a, b), c)
-        assert np.max(np.abs(partial_trace(rho, (0,)) - a)) <= 1e-12
-        assert np.max(np.abs(partial_trace(rho, (0, 2)) - kron(a, c))) <= 1e-12
-
-    def test_keep_all_is_identity_map(self):
-        rng = np.random.default_rng(6)
-        rho = random_density(rng, 4)
-        assert np.allclose(partial_trace(rho, (0, 1)), rho)
-
-    def test_rejects_bad_wires(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), (5,))
 
 
 class TestHermEig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxdisc import cli, haar, linalg, scenarios, states
-from boxdisc.discrimination import validate_povm
+from boxdisc.discrimination import Povm, validate_povm
 from boxdisc.scenarios import (
     SCENARIO_IDS,
     _mc_figure,
@@ -45,7 +45,31 @@ class TestCatalog:
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_stored_povm_is_valid(self, sid):
         scenario = build_scenario(sid)
-        assert validate_povm(scenario.povm).valid
+        assert scenario.povm_report == validate_povm(scenario.povm)
+        assert scenario.povm_report.valid
+
+    def test_batched_povm_reports_match_per_element_reference(self):
+        for sid in EXPECTED_IDS:
+            povm = build_scenario(sid).povm
+            report = validate_povm(povm)
+            herm, min_eig, completeness = _per_element_margins(povm)
+            assert report.hermiticity == herm, sid
+            assert report.min_eigenvalue == min_eig, sid
+            assert report.completeness == completeness, sid
+
+    @pytest.mark.parametrize("sid", EXPECTED_IDS)
+    def test_built_once_per_process(self, sid):
+        assert build_scenario(sid) is build_scenario(sid)
+
+    @pytest.mark.parametrize("sid", EXPECTED_IDS)
+    def test_built_scenario_is_read_only(self, sid):
+        scenario = build_scenario(sid)
+        for array in (scenario.state, *scenario.povm.elements.values()):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        for mapping in (scenario.povm.elements, scenario.mapping, scenario.metadata):
+            with pytest.raises(TypeError):
+                mapping["extra"] = 0
 
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_reference_table_agrees_with_scenario(self, sid):
@@ -80,6 +104,47 @@ class TestAnalyticRuns:
         res = run_scenario(scenario)
         assert abs(res.analytic - res.paper_value) <= 1e-9
         assert res.cross_talk == pytest.approx(0.75, abs=1e-12)
+        assert res.passed is False
+
+    def test_invalid_povm_fails_the_verdict(self):
+        # Move 0.1|k><k| from identify-1 to fail, with k in the joint kernel
+        # of both averaged states: the POVM stays complete and every outcome
+        # probability, so the 3/8 success and the zero cross-talk, stays put,
+        # but identify-1 is no longer positive.
+        scenario = build_scenario("two-ref-4q-pairwise")
+        rho1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
+        rho2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
+        lam, vecs = np.linalg.eigh(rho1 + rho2)
+        kernel = vecs[:, lam < 1e-10]
+        assert kernel.shape[1] == 2
+        e1 = scenario.povm.elements["identify-1"]
+        weights, coords = np.linalg.eigh(kernel.conj().T @ e1 @ kernel)
+        k = kernel @ coords[:, 0]
+        assert weights[0] < 0.5
+        shift = 0.1 * np.outer(k, k.conj())
+        elements = dict(scenario.povm.elements)
+        elements["identify-1"] = elements["identify-1"] - shift
+        elements["fail"] = elements["fail"] + shift
+        probe = dataclasses.replace(scenario, povm=Povm(elements))
+        assert probe.povm_report.completeness <= 1e-10
+        assert probe.povm_report.min_eigenvalue["identify-1"] < -0.06
+        res = run_scenario(probe)
+        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert res.cross_talk <= 1e-9
+        assert res.passed is False
+
+    def test_suboptimal_min_error_povm_fails_the_verdict(self):
+        # With the guesses swapped the measurement errs 7/8 of the time,
+        # while the Helstrom bound of the averaged states is still 1/8.
+        scenario = build_scenario("one-ref-minerror")
+        elements = scenario.povm.elements
+        swapped = dataclasses.replace(
+            scenario,
+            povm=Povm({"guess-1": elements["guess-2"], "guess-2": elements["guess-1"]}),
+        )
+        res = run_scenario(swapped)
+        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert res.metadata["povm_error"] == pytest.approx(7 / 8, abs=1e-12)
         assert res.passed is False
 
     def test_execute_covers_catalog(self):
@@ -152,6 +217,23 @@ class TestVariants:
         anc = (states.ket("0") + 1j * states.ket("1")) / np.sqrt(2)
         res = two_ref_singlet_with_ancilla(anc)
         assert res.analytic == pytest.approx(3 / 8, abs=1e-9)
+
+    def test_random_ancilla_variant_is_built_uncached(self, monkeypatch):
+        ran = []
+        run = scenarios.run_scenario
+
+        def capturing_run(scenario, *args, **kwargs):
+            ran.append(scenario)
+            return run(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_scenario", capturing_run)
+        rng = np.random.default_rng(11)
+        anc = rng.normal(size=2) + 1j * rng.normal(size=2)
+        res = two_ref_singlet_with_ancilla(anc / np.linalg.norm(anc))
+        (variant,) = ran
+        assert res.passed and variant.povm_report.valid
+        assert variant is not build_scenario("two-ref-singlet")
+        assert not variant.state.flags.writeable
 
     def test_random_guess_baseline_below_pairwise(self):
         baseline = random_pairwise_baseline()
@@ -253,3 +335,15 @@ class TestSubspaceVersusPairwise:
         s = run_scenario(build_scenario("two-ref-4q-subspace")).analytic
         p = run_scenario(build_scenario("two-ref-4q-pairwise")).analytic
         assert s > p + 1e-12
+
+
+def _per_element_margins(povm):
+    """Hermiticity, lowest eigenvalue and completeness, one element at a time."""
+    herm, min_eig = {}, {}
+    total = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for label, e in povm.elements.items():
+        e = np.asarray(e, dtype=complex)
+        herm[label] = linalg.hermiticity_error(e)
+        min_eig[label] = float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2)))
+        total += e
+    return herm, min_eig, float(np.max(np.abs(total - np.eye(povm.dim))))

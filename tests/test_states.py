@@ -6,6 +6,16 @@ from hypothesis import strategies as st
 from boxdisc import haar, linalg, states
 
 
+def _partial_trace(rho, keep):
+    """Reduced operator on the wires in keep (ascending), by einsum contraction."""
+    n = rho.shape[0].bit_length() - 1
+    rows = "abcdefgh"[:n]
+    cols = "".join(rows[w] if w not in keep else "ABCDEFGH"[w] for w in range(n))
+    out = "".join(rows[w] for w in keep) + "".join("ABCDEFGH"[w] for w in keep)
+    d = 2 ** len(keep)
+    return np.einsum(f"{rows}{cols}->{out}", rho.reshape((2,) * (2 * n))).reshape(d, d)
+
+
 class TestKetAndDensity:
     def test_ket_basis_index(self):
         v = states.ket("010")
@@ -141,7 +151,7 @@ class TestApproxDoubleSinglet:
         rho = states.density(psi)
         singlet = states.bell("psi-")
         for pair in ((0, 2), (1, 2)):
-            red = linalg.partial_trace(rho, pair)
+            red = _partial_trace(rho, pair)
             fid = float(np.real(np.vdot(singlet, red @ singlet)))
             assert fid == pytest.approx(0.75, abs=1e-12)
 
@@ -181,5 +191,5 @@ class TestDoubleSinglet:
     def test_spare_wires_get_zero_ket(self):
         psi = states.double_singlet(((0, 1), (2, 3)), 5)
         rho = states.density(psi)
-        red = linalg.partial_trace(rho, (4,))
+        red = _partial_trace(rho, (4,))
         assert np.max(np.abs(red - states.density(states.ket("0")))) <= 1e-12
