@@ -17,6 +17,7 @@ re-serializes to the same bytes after a parse round trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -86,26 +87,34 @@ def _fmt_number(value) -> str:
     return "%.12g" % float(value)
 
 
+def _cell(value, none: str, true: str, false: str, text=str) -> str:
+    """One output field, the same switch for every format.
+
+    None and booleans are spelled as the format asks, numbers get 12
+    significant digits, and strings go through ``text``.
+    """
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return true if value else false
+    if isinstance(value, (int, float)):
+        return _fmt_number(value)
+    return text(value)
+
+
 def render_json(records) -> str:
     """Serialize records with a fixed key order and 12-digit numbers.
 
     Parsing the output and feeding it back through this function returns the
     same bytes: 12 significant decimal digits survive a float round trip.
     """
+    json_string = functools.partial(json.dumps, ensure_ascii=False)
     lines = []
     for rec in records:
-        parts = []
-        for key in RECORD_FIELDS:
-            value = rec[key]
-            if value is None:
-                text = "null"
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, (int, float)):
-                text = _fmt_number(value)
-            else:
-                text = json.dumps(value, ensure_ascii=False)
-            parts.append(f'"{key}": {text}')
+        parts = [
+            f'"{key}": {_cell(rec[key], "null", "true", "false", json_string)}'
+            for key in RECORD_FIELDS
+        ]
         lines.append("  {" + ", ".join(parts) + "}")
     return "[\n" + ",\n".join(lines) + "\n]"
 
@@ -113,34 +122,14 @@ def render_json(records) -> str:
 def render_csv(records) -> str:
     lines = [CSV_HEADER]
     for rec in records:
-        cells = []
-        for key in CSV_HEADER.split(","):
-            value = rec[key]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, (int, float)):
-                cells.append(_fmt_number(value))
-            else:
-                cells.append(str(value))
+        cells = [_cell(rec[key], "", "true", "false") for key in CSV_HEADER.split(",")]
         lines.append(",".join(cells))
     return "\n".join(lines)
 
 
 def render_table(records) -> str:
-    def cell(rec, key):
-        value = rec[key]
-        if value is None:
-            return "-"
-        if isinstance(value, bool):
-            return "pass" if value else "FAIL"
-        if isinstance(value, (int, float)):
-            return _fmt_number(value)
-        return str(value)
-
     rows = [list(RECORD_FIELDS)] + [
-        [cell(rec, key) for key in RECORD_FIELDS] for rec in records
+        [_cell(rec[key], "-", "pass", "FAIL") for key in RECORD_FIELDS] for rec in records
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(len(RECORD_FIELDS))]
     out = []

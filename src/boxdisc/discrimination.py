@@ -37,6 +37,13 @@ __all__ = [
 
 CROSS_TALK_TOL = 1e-9
 
+#: Largest max |sum(E) - I| of a complete POVM.
+SUM_TOL = 1e-10
+
+#: Principal-vector cosines within COSINE_TOL of 1 count as a shared
+#: direction, within COSINE_TOL of 0 as an orthogonal pair.
+COSINE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -74,15 +81,11 @@ class PovmReport:
     valid: bool
 
 
-def validate_povm(
-    povm: Povm,
-    herm_tol: float = 1e-12,
-    psd_floor: float = -1e-10,
-    sum_tol: float = 1e-10,
-) -> PovmReport:
+def validate_povm(povm: Povm) -> PovmReport:
     """Check Hermiticity, positivity and completeness, returning the margins.
 
-    The elements are stacked, so all eigensolves are one batched call.
+    The thresholds are linalg.HERM_TOL, linalg.PSD_FLOOR and SUM_TOL. The
+    elements are stacked, so all eigensolves are one batched call.
     """
     stack = np.stack([np.asarray(e, dtype=complex) for e in povm.elements.values()])
     adjoint = stack.conj().transpose(0, 2, 1)
@@ -91,9 +94,9 @@ def validate_povm(
     min_eig = dict(zip(povm.labels, map(float, lowest)))
     completeness = float(np.max(np.abs(stack.sum(axis=0) - np.eye(povm.dim))))
     valid = (
-        all(v <= herm_tol for v in herm.values())
-        and all(v >= psd_floor for v in min_eig.values())
-        and completeness <= sum_tol
+        all(v <= linalg.HERM_TOL for v in herm.values())
+        and all(v >= linalg.PSD_FLOOR for v in min_eig.values())
+        and completeness <= SUM_TOL
     )
     return PovmReport(herm, min_eig, completeness, valid)
 
@@ -309,9 +312,7 @@ def _pair_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray,
     return w
 
 
-def unambiguous_subspace_povm(
-    s1: Subspace, s2: Subspace, *, cosine_tol: float = 1e-9
-) -> Povm:
+def unambiguous_subspace_povm(s1: Subspace, s2: Subspace) -> Povm:
     """Unambiguous measurement for states known only through their supports.
 
     Pairs up the principal directions of the two supports. Shared directions
@@ -335,9 +336,9 @@ def unambiguous_subspace_povm(
     paired = len(cosines)
     for i, c in enumerate(cosines):
         ui, vi = u[:, i], v[:, i]
-        if c >= 1.0 - cosine_tol:
+        if c >= 1.0 - COSINE_TOL:
             continue  # common direction, indistinguishable
-        if c <= cosine_tol:
+        if c <= COSINE_TOL:
             e1 += np.outer(ui, ui.conj())
             e2 += np.outer(vi, vi.conj())
             continue

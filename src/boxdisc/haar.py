@@ -133,46 +133,36 @@ class AverageResult:
 def _su2_rotation(theta, axis) -> np.ndarray:
     """exp(-i theta/2 n.sigma) for rotation angles and unit axes n, vectorised.
 
+    That rotation is the unit quaternion (cos theta/2, -sin theta/2 n).
     ``axis`` holds the three axis components, each broadcastable against
     ``theta``; the result has shape theta.shape + (2, 2).
     """
-    axis_x, axis_y, axis_z = axis
-    cos_half = np.cos(theta / 2)
-    sin_half = np.sin(theta / 2)
-    u = np.empty(np.shape(cos_half) + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos_half - 1j * sin_half * axis_z
-    u[..., 0, 1] = -1j * sin_half * (axis_x - 1j * axis_y)
-    u[..., 1, 0] = -1j * sin_half * (axis_x + 1j * axis_y)
-    u[..., 1, 1] = cos_half + 1j * sin_half * axis_z
-    return u
+    half = theta / 2
+    parts = np.broadcast_arrays(np.cos(half), *(-np.sin(half) * a for a in axis))
+    return _quaternions_to_su2(np.stack(parts, axis=-1))
 
 
 def _quaternions_to_su2(q: np.ndarray) -> np.ndarray:
-    """Map unit quaternions, shape (m, 4), to a stack of 2x2 unitaries."""
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    u = np.empty((q.shape[0], 2, 2), dtype=complex)
-    u[:, 0, 0] = a + 1j * d
-    u[:, 0, 1] = c + 1j * b
-    u[:, 1, 0] = -c + 1j * b
-    u[:, 1, 1] = a - 1j * d
+    """Map unit quaternions, shape (..., 4), to 2x2 unitaries, shape (..., 2, 2)."""
+    a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = a + 1j * d
+    u[..., 0, 1] = c + 1j * b
+    u[..., 1, 0] = -c + 1j * b
+    u[..., 1, 1] = a - 1j * d
     return u
 
 
-_CLIFFORD_CACHE = None
-
-
+@functools.cache
 def clifford_group():
     """The 24 single-qubit Clifford elements, one per global-phase class.
 
     Generated by closing {H, S} under multiplication. Deduplication happens
     on a phase-canonicalized rounded key, but the stored matrices are the
     raw products: rounding the group elements themselves would inject ~1e-9
-    errors into every average built from them.
+    errors into every average built from them. Built once per process and
+    returned as the same tuple after.
     """
-    global _CLIFFORD_CACHE
-    if _CLIFFORD_CACHE is not None:
-        return list(_CLIFFORD_CACHE)
-
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
 
@@ -201,11 +191,10 @@ def clifford_group():
             raise RuntimeError(f"group closure grew past 24 elements ({len(elements)})")
     if len(elements) != 24:
         raise RuntimeError(f"group closure stopped at {len(elements)} elements, expected 24")
-    _CLIFFORD_CACHE = tuple(elements.values())
-    return list(_CLIFFORD_CACHE)
+    return tuple(elements.values())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _quadrature_elements(nodes: int):
     """Product rule over the angle box, weights including the measure.
 
@@ -251,13 +240,8 @@ def _kron_stack(us: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-#: k-copy twirl channels of the exact engines, keyed by (method, nodes for
-#: quadrature or None, k) and filled on first use; the three channels of one
-#: node count share one cached grid.
-_CHANNELS = {}
-
-
-def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
+@functools.cache
+def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     """Read-only k-copy twirl channel of an exact engine, a 4**k x 4**k matrix.
 
     T[(c, d), (a, b)] = sum_m w_m U_m^{(x)k}[c, a] conj(U_m^{(x)k})[d, b], so
@@ -265,28 +249,26 @@ def _twirl_channel(method: str, nodes: int, k: int) -> np.ndarray:
     The sum is the weighted Gram matrix G = A^T diag(w) conj(A) of the matrix
     A whose rows are the flattened U_m^{(x)k}, G[(c, a), (d, b)] = T[(c, d),
     (a, b)]; it is accumulated with one matrix product per _CHUNK elements,
-    so the full stack of k-fold Kronecker powers is never held.
+    so the full stack of k-fold Kronecker powers is never held. Built once
+    per (method, nodes, k); the design rule takes nodes None, and the three
+    channels of one node count share one cached grid.
     """
-    key = (method, nodes if method == "quadrature" else None, k)
-    t = _CHANNELS.get(key)
-    if t is None:
-        if method == "design":
-            us = np.stack(clifford_group())
-            weights = np.full(len(us), 1.0 / len(us))
-        else:
-            us, weights = _quadrature_elements(nodes)
-        da = 2**k
-        gram = np.zeros((da * da, da * da), dtype=complex)
-        for lo in range(0, len(us), _CHUNK):
-            a = _kron_stack(us[lo : lo + _CHUNK], k).reshape(-1, da * da)
-            gram += a.T @ (weights[lo : lo + _CHUNK, None] * a.conj())
-        t = gram.reshape(da, da, da, da).transpose(0, 2, 1, 3).reshape(da * da, da * da)
-        t.flags.writeable = False
-        _CHANNELS[key] = t
+    if method == "design":
+        us = np.stack(clifford_group())
+        weights = np.full(len(us), 1.0 / len(us))
+    else:
+        us, weights = _quadrature_elements(nodes)
+    da = 2**k
+    gram = np.zeros((da * da, da * da), dtype=complex)
+    for lo in range(0, len(us), _CHUNK):
+        a = _kron_stack(us[lo : lo + _CHUNK], k).reshape(-1, da * da)
+        gram += a.T @ (weights[lo : lo + _CHUNK, None] * a.conj())
+    t = gram.reshape(da, da, da, da).transpose(0, 2, 1, 3).reshape(da * da, da * da)
+    t.flags.writeable = False
     return t
 
 
-def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int):
+def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int | None):
     """Average W x W+ where W puts the same element on every wire in ``wires``.
 
     Moves the label's row and column qubits to the front, so the operator is
@@ -401,8 +383,9 @@ def twirl_operator(
             raise ValueError(
                 f"quadrature needs at least {MIN_NODES} nodes per angle, got {nodes}"
             )
+        rule_nodes = nodes if method == "quadrature" else None
         for label in ("U", "V"):
-            x = _twirl_one_label(x, pattern.wires(label), n, method, nodes)
+            x = _twirl_one_label(x, pattern.wires(label), n, method, rule_nodes)
         terms = len(clifford_group()) if method == "design" else nodes**3
         return x, terms, 0.0
     if method == "monte_carlo":

@@ -15,9 +15,11 @@ import numpy as np
 
 # Tolerances shared across the package. A matrix counts as Hermitian when the
 # entrywise deviation from its adjoint stays below HERM_TOL; RANK_TOL is the
-# default relative eigenvalue cutoff for range extraction.
+# relative eigenvalue cutoff for range extraction; an eigenvalue below
+# PSD_FLOOR makes a density matrix or a POVM element not positive.
 HERM_TOL = 1e-12
 RANK_TOL = 1e-10
+PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,14 @@ def abs_eig_sum(m: np.ndarray) -> float:
     return float(np.sum(np.abs(herm_eig(m).eigenvalues)))
 
 
-def range_basis(rho: np.ndarray, tol: float = RANK_TOL) -> Subspace:
+def range_basis(rho: np.ndarray) -> Subspace:
     """Orthonormal basis of the range (support) of a Hermitian PSD matrix.
 
-    Keeps eigenvectors whose eigenvalue exceeds tol times the largest one,
-    so numerical noise far below the relative cutoff never inflates the rank.
+    Keeps eigenvectors whose eigenvalue exceeds RANK_TOL times the largest
+    one, so numerical noise far below the relative cutoff never inflates the
+    rank.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     spec = herm_eig(rho)
     lam_max = spec.eigenvalues[0] if spec.eigenvalues.size else 0.0
-    mask = spec.eigenvalues > tol * lam_max if lam_max > 0 else spec.eigenvalues > 0
+    mask = spec.eigenvalues > RANK_TOL * lam_max if lam_max > 0 else spec.eigenvalues > 0
     return Subspace(rho.shape[0], spec.eigenvectors[:, mask].copy())

@@ -1,11 +1,13 @@
 """The eleven benchmark discrimination scenarios and their runners.
 
-Each scenario fixes a test state, the two box patterns it must tell apart,
-a measurement with decision labels, and the reference success (or error)
-probability the implementation has to reproduce. Scenario construction is
-pure, so build_scenario builds each scenario once per process and hands out
-the same frozen object afterwards: its arrays and mappings are read-only, and
-its POVM is validated once, at construction. Running a scenario averages
+Each scenario fixes a test state, the two box patterns it must tell apart
+and a measurement with decision labels. The labels (identify-k, guess-k,
+fail) fix the decision mode and the hypothesis each outcome names, and the
+id fixes the reference success (or error) probability the implementation
+has to reproduce. Scenario construction is pure, so build_scenario builds
+each scenario once per process and hands out the same frozen object
+afterwards: its arrays and mappings are read-only, and its POVM is
+validated once, at construction. Running a scenario averages
 the state under both hypotheses with the chosen engine, scores the
 measurement, and optionally cross-checks the figure with a per-sample Monte
 Carlo simulation of the actual experiment.
@@ -22,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,16 +45,15 @@ from .haar import BoxPattern, as_pattern
 PASS_TOL = 1e-9
 MC_SIGMA = 4.0
 
-_FIXTURE_CACHE = None
+#: Tolerance of the entrywise check in equivalence_witness_order_refs.
+WITNESS_TOL = 1e-10
 
 
+@functools.cache
 def load_reference_values() -> dict:
     """Versioned reference-value fixture shipped with the package."""
-    global _FIXTURE_CACHE
-    if _FIXTURE_CACHE is None:
-        text = resources.files("boxdisc").joinpath("reference_values.json").read_text()
-        _FIXTURE_CACHE = json.loads(text)
-    return _FIXTURE_CACHE
+    text = resources.files("boxdisc").joinpath("reference_values.json").read_text()
+    return json.loads(text)
 
 
 def reference_value(scenario_id: str) -> float:
@@ -88,38 +90,77 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+#: Decision semantics of the legal POVM labels: the mode each one implies
+#: and the hypothesis it names, None for the inconclusive outcome.
+_LABELS = {
+    "identify-1": ("unambiguous", 0),
+    "identify-2": ("unambiguous", 1),
+    "guess-1": ("min_error", 0),
+    "guess-2": ("min_error", 1),
+    "fail": ("unambiguous", None),
+}
+
+
+def _decision(labels) -> tuple:
+    """(mode, mapping) fixed by a POVM's outcome labels.
+
+    Rejects a label outside _LABELS and a POVM whose labels imply two modes,
+    which includes a fail outcome beside minimum-error guesses.
+    """
+    unknown = sorted(set(labels) - set(_LABELS))
+    if unknown:
+        raise ValueError(f"unknown POVM labels {unknown}; use one of {sorted(_LABELS)}")
+    modes = {_LABELS[label][0] for label in labels}
+    if len(modes) != 1:
+        raise ValueError(f"POVM labels {sorted(labels)} mix the modes {sorted(modes)}")
+    mapping = {label: _LABELS[label][1] for label in labels if _LABELS[label][1] is not None}
+    return modes.pop(), mapping
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Frozen description of one discrimination task.
 
-    Construction freezes the scenario: the state and every POVM element
-    become read-only array copies, and the POVM's element table, mapping and
-    metadata become read-only mappings. It also keeps validate_povm's report
-    on the POVM in povm_report. dataclasses.replace goes through the same
-    steps, so every scenario carries the report for its own POVM.
+    The init fields are what a task chooses; the rest is derived at
+    construction. paper_value and citation are the fixture entry for id;
+    mode and mapping follow from the POVM labels (see _LABELS); priors are
+    equal for every task. Construction also freezes the scenario: patterns
+    become BoxPatterns, the state and POVM elements read-only array copies,
+    the element table, mapping and metadata read-only mappings, and
+    povm_report keeps validate_povm's report. dataclasses.replace goes
+    through the same steps, so a variant carries the mode, mapping and
+    report of its own POVM. Equality is identity, like the per-process
+    cache of build_scenario.
     """
+
+    priors: ClassVar[tuple] = (0.5, 0.5)
 
     id: str
     state: np.ndarray
     pattern1: BoxPattern
     pattern2: BoxPattern
     povm: Povm
-    priors: tuple
-    mode: str  # "unambiguous" or "min_error"
-    paper_value: float
-    citation: str
-    mapping: dict
     metadata: dict = field(default_factory=dict)
     witness: PermutationWitness | None = None
+    mode: str = field(init=False)  # "unambiguous" or "min_error"
+    mapping: dict = field(init=False)
+    paper_value: float = field(init=False)
+    citation: str = field(init=False)
     povm_report: PovmReport = field(init=False)
 
     def __post_init__(self):
+        mode, mapping = _decision(self.povm.labels)
         elements = {label: _read_only(e) for label, e in self.povm.elements.items()}
         povm = Povm(MappingProxyType(elements))
         object.__setattr__(self, "state", _read_only(self.state))
+        object.__setattr__(self, "pattern1", as_pattern(self.pattern1))
+        object.__setattr__(self, "pattern2", as_pattern(self.pattern2))
         object.__setattr__(self, "povm", povm)
-        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mapping", MappingProxyType(mapping))
+        object.__setattr__(self, "paper_value", reference_value(self.id))
+        object.__setattr__(self, "citation", reference_citation(self.id))
         object.__setattr__(self, "povm_report", validate_povm(povm))
 
 
@@ -151,15 +192,6 @@ class ScenarioResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _pair_ops(pair, n):
-    """Embedded (P_sym, P_anti) for a wire pair of an n-wire register."""
-    return states.sym_antisym_projectors(pair, n)
-
-
-def _one_qubit_proj(bit: str, wire: int, n: int):
-    return states.embed_operator(states.density(states.ket(bit)), (wire,), n)
-
-
 def _singlet_with_ancilla(b_state=None) -> np.ndarray:
     """Three-wire input: singlet on wires (0, 2), ancilla wire 1.
 
@@ -172,12 +204,6 @@ def _singlet_with_ancilla(b_state=None) -> np.ndarray:
     states.assert_normalized(anc)
     psi = np.kron(states.bell("psi-"), anc)  # order (0, 2, 1)
     return linalg.permute_qubits(psi, (0, 2, 1))
-
-
-def _ordered_double_singlet() -> np.ndarray:
-    # Singlets on wire pairs (0, 2) and (1, 3): reference boxes on 0 and 1,
-    # boxes under test on 2 and 3.
-    return states.double_singlet(((0, 2), (1, 3)), 4)
 
 
 def _mixed_order_overlap_vector() -> np.ndarray:
@@ -196,137 +222,92 @@ def _mixed_order_overlap_vector() -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _with_fail(elements: dict) -> Povm:
+    """Identification elements plus their complement as the fail outcome.
+
+    The elements are subtracted from the identity one by one, in order.
+    """
+    fail = np.eye(next(iter(elements.values())).shape[0], dtype=complex)
+    for e in elements.values():
+        fail = fail - e
+    return Povm({**elements, "fail": fail})
+
+
 def _build_one_ref(mode: str) -> Scenario:
-    sid = "one-ref-unambiguous" if mode == "unambiguous" else "one-ref-minerror"
-    p_sym, p_anti = _pair_ops((0, 1), 2)
+    p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
     if mode == "unambiguous":
         # Same box keeps the singlet antisymmetric, so only the symmetric
         # outcome is conclusive: it rules the same-box hypothesis out.
-        povm = Povm({"identify-2": p_sym, "fail": p_anti})
-        mapping = {"identify-2": 1}
+        sid, povm = "one-ref-unambiguous", Povm({"identify-2": p_sym, "fail": p_anti})
     else:
-        povm = Povm({"guess-1": p_anti, "guess-2": p_sym})
-        mapping = {"guess-1": 0, "guess-2": 1}
+        sid, povm = "one-ref-minerror", Povm({"guess-1": p_anti, "guess-2": p_sym})
     return Scenario(
-        id=sid,
-        state=states.bell("psi-"),
-        pattern1=as_pattern("UU"),
-        pattern2=as_pattern("UV"),
-        povm=povm,
-        priors=(0.5, 0.5),
-        mode=mode,
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping=mapping,
+        id=sid, state=states.bell("psi-"), pattern1="UU", pattern2="UV", povm=povm
     )
 
 
 def _build_two_ref_singlet(b_state=None) -> Scenario:
-    sid = "two-ref-singlet"
-    p_sym, p_anti = _pair_ops((0, 2), 3)
+    p_sym, p_anti = states.sym_antisym_projectors((0, 2), 3)
     return Scenario(
-        id=sid,
+        id="two-ref-singlet",
         state=_singlet_with_ancilla(b_state),
-        pattern1=as_pattern("UVU"),
-        pattern2=as_pattern("UVV"),
+        pattern1="UVU",
+        pattern2="UVV",
         povm=Povm({"identify-2": p_sym, "fail": p_anti}),
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-2": 1},
         metadata={"ancilla": "free choice, outcome independent of it"},
     )
 
 
 def _build_two_ref_symmetric() -> Scenario:
-    sid = "two-ref-symmetric"
-    n = 3
-    _, anti_02 = _pair_ops((0, 2), n)
-    _, anti_12 = _pair_ops((1, 2), n)
+    _, anti_02 = states.sym_antisym_projectors((0, 2), 3)
+    _, anti_12 = states.sym_antisym_projectors((1, 2), 3)
     # The input is symmetric under swapping the tested wire with either
     # reference, so an antisymmetric component across a pair can only come
     # from the box that acted differently there. Weight 2/3 saturates
     # positivity of the failure element.
-    e1 = (2.0 / 3.0) * anti_12
-    e2 = (2.0 / 3.0) * anti_02
-    fail = np.eye(2**n, dtype=complex) - e1 - e2
     return Scenario(
-        id=sid,
+        id="two-ref-symmetric",
         state=states.ket("000"),
-        pattern1=as_pattern("UVU"),
-        pattern2=as_pattern("UVV"),
-        povm=Povm({"identify-1": e1, "identify-2": e2, "fail": fail}),
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-1": 0, "identify-2": 1},
+        pattern1="UVU",
+        pattern2="UVV",
+        povm=_with_fail({"identify-1": 2.0 / 3.0 * anti_12, "identify-2": 2.0 / 3.0 * anti_02}),
     )
 
 
 def _build_two_ref_minerror_3q() -> Scenario:
-    sid = "two-ref-minerror-3q"
     psi = states.approx_double_singlet_3q()
     rho1 = haar.average_pattern(psi, "UVU").rho
     rho2 = haar.average_pattern(psi, "UVV").rho
-    best = helstrom(rho1, rho2)
-    return Scenario(
-        id=sid,
-        state=psi,
-        pattern1=as_pattern("UVU"),
-        pattern2=as_pattern("UVV"),
-        povm=best.optimal_projectors,
-        priors=(0.5, 0.5),
-        mode="min_error",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"guess-1": 0, "guess-2": 1},
-    )
+    povm = helstrom(rho1, rho2).optimal_projectors
+    return Scenario(id="two-ref-minerror-3q", state=psi, pattern1="UVU", pattern2="UVV", povm=povm)
 
 
 def _build_4q_pairwise() -> Scenario:
-    sid = "two-ref-4q-pairwise"
-    n = 4
-    sym_02, _ = _pair_ops((0, 2), n)
-    sym_12, _ = _pair_ops((1, 2), n)
+    sym_02, _ = states.sym_antisym_projectors((0, 2), 4)
+    sym_12, _ = states.sym_antisym_projectors((1, 2), 4)
+    flag = {bit: states.embed_operator(states.density(states.ket(bit)), (3,), 4) for bit in "01"}
     # The flag wire ties each branch to the pair that can still hold a
     # singlet, so a symmetric outcome on that pair is conclusive.
-    e1 = sym_12 @ _one_qubit_proj("1", 3, n)
-    e2 = sym_02 @ _one_qubit_proj("0", 3, n)
-    fail = np.eye(2**n, dtype=complex) - e1 - e2
     return Scenario(
-        id=sid,
+        id="two-ref-4q-pairwise",
         state=states.four_qubit_test_state(),
-        pattern1=as_pattern("UVUI"),
-        pattern2=as_pattern("UVVI"),
-        povm=Povm({"identify-1": e1, "identify-2": e2, "fail": fail}),
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-1": 0, "identify-2": 1},
+        pattern1="UVUI",
+        pattern2="UVVI",
+        povm=_with_fail({"identify-1": sym_12 @ flag["1"], "identify-2": sym_02 @ flag["0"]}),
         metadata={"normalization_factor": states.four_qubit_norm_factor()},
     )
 
 
 def _build_4q_subspace() -> Scenario:
-    sid = "two-ref-4q-subspace"
     psi = states.four_qubit_test_state()
     rho1 = haar.average_pattern(psi, "UVUI").rho
     rho2 = haar.average_pattern(psi, "UVVI").rho
-    povm = unambiguous_subspace_povm(linalg.range_basis(rho1), linalg.range_basis(rho2))
     return Scenario(
-        id=sid,
+        id="two-ref-4q-subspace",
         state=psi,
-        pattern1=as_pattern("UVUI"),
-        pattern2=as_pattern("UVVI"),
-        povm=povm,
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-1": 0, "identify-2": 1},
+        pattern1="UVUI",
+        pattern2="UVVI",
+        povm=unambiguous_subspace_povm(linalg.range_basis(rho1), linalg.range_basis(rho2)),
         metadata={
             "normalization_factor": states.four_qubit_norm_factor(),
             "published_estimate": float(auxiliary_value("subspace-published-estimate")),
@@ -340,52 +321,27 @@ def _build_4q_subspace() -> Scenario:
 
 
 def _build_pair_same(mode: str) -> Scenario:
-    sid = "pair-same-unambiguous" if mode == "unambiguous" else "pair-same-minerror"
-    n = 4
-    sym_02, anti_02 = _pair_ops((0, 2), n)
-    sym_13, anti_13 = _pair_ops((1, 3), n)
+    sym_02, anti_02 = states.sym_antisym_projectors((0, 2), 4)
+    sym_13, anti_13 = states.sym_antisym_projectors((1, 3), 4)
     if mode == "unambiguous":
-        e1 = sym_02 @ anti_13
-        e2 = anti_02 @ sym_13
-        fail = np.eye(2**n, dtype=complex) - e1 - e2
-        povm = Povm({"identify-1": e1, "identify-2": e2, "fail": fail})
-        mapping = {"identify-1": 0, "identify-2": 1}
+        sid = "pair-same-unambiguous"
+        povm = _with_fail({"identify-1": sym_02 @ anti_13, "identify-2": anti_02 @ sym_13})
     else:
-        povm = Povm({"guess-1": sym_02, "guess-2": anti_02})
-        mapping = {"guess-1": 0, "guess-2": 1}
+        sid, povm = "pair-same-minerror", Povm({"guess-1": sym_02, "guess-2": anti_02})
     return Scenario(
-        id=sid,
-        state=_ordered_double_singlet(),
-        pattern1=as_pattern("UVVV"),
-        pattern2=as_pattern("UVUU"),
-        povm=povm,
-        priors=(0.5, 0.5),
-        mode=mode,
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping=mapping,
+        id=sid, state=states.double_singlet(), pattern1="UVVV", pattern2="UVUU", povm=povm
     )
 
 
 def _build_order_two_u() -> Scenario:
-    sid = "order-two-u-refs"
-    n = 4
-    sym_02, anti_02 = _pair_ops((0, 2), n)
-    sym_13, anti_13 = _pair_ops((1, 3), n)
-    e1 = anti_02 @ sym_13
-    e2 = sym_02 @ anti_13
-    fail = np.eye(2**n, dtype=complex) - e1 - e2
+    sym_02, anti_02 = states.sym_antisym_projectors((0, 2), 4)
+    sym_13, anti_13 = states.sym_antisym_projectors((1, 3), 4)
     return Scenario(
-        id=sid,
-        state=_ordered_double_singlet(),
-        pattern1=as_pattern("UUUV"),
-        pattern2=as_pattern("UUVU"),
-        povm=Povm({"identify-1": e1, "identify-2": e2, "fail": fail}),
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-1": 0, "identify-2": 1},
+        id="order-two-u-refs",
+        state=states.double_singlet(),
+        pattern1="UUUV",
+        pattern2="UUVU",
+        povm=_with_fail({"identify-1": anti_02 @ sym_13, "identify-2": sym_02 @ anti_13}),
         witness=PermutationWitness(
             target_id="pair-same-unambiguous",
             permutation=(2, 3, 0, 1),
@@ -401,10 +357,8 @@ def _build_order_two_u() -> Scenario:
 
 
 def _build_order_uv() -> Scenario:
-    sid = "order-uv-refs"
-    n = 4
-    sym_12, anti_12 = _pair_ops((1, 2), n)
-    sym_03, anti_03 = _pair_ops((0, 3), n)
+    sym_12, anti_12 = states.sym_antisym_projectors((1, 2), 4)
+    sym_03, anti_03 = states.sym_antisym_projectors((0, 3), 4)
     qhat = _mixed_order_overlap_vector()
     # The aligned hypothesis reproduces the input exactly, and that support
     # sits inside the crossed hypothesis's support: only the crossed one can
@@ -417,18 +371,12 @@ def _build_order_uv() -> Scenario:
         + sym_12 @ anti_03
         + anti_12 @ sym_03
     )
-    fail = np.eye(2**n, dtype=complex) - e2
     return Scenario(
-        id=sid,
-        state=_ordered_double_singlet(),
-        pattern1=as_pattern("UVUV"),
-        pattern2=as_pattern("UVVU"),
-        povm=Povm({"identify-2": e2, "fail": fail}),
-        priors=(0.5, 0.5),
-        mode="unambiguous",
-        paper_value=reference_value(sid),
-        citation=reference_citation(sid),
-        mapping={"identify-2": 1},
+        id="order-uv-refs",
+        state=states.double_singlet(),
+        pattern1="UVUV",
+        pattern2="UVVU",
+        povm=_with_fail({"identify-2": e2}),
         metadata={"note": "the aligned hypothesis is never identified"},
     )
 
@@ -450,7 +398,7 @@ _BUILDERS = {
 SCENARIO_IDS = tuple(sorted(_BUILDERS))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_scenario(scenario_id: str) -> Scenario:
     """One of the named scenarios, built on the first call and shared after."""
     try:
@@ -590,7 +538,7 @@ class WitnessReport:
     passed: bool
 
 
-def equivalence_witness_order_refs(tol: float = 1e-10) -> WitnessReport:
+def equivalence_witness_order_refs() -> WitnessReport:
     """Verify the reduction recorded on the order-two-u-refs scenario.
 
     Moving the tested wires to the front of the register maps hypothesis one
@@ -616,8 +564,8 @@ def equivalence_witness_order_refs(tol: float = 1e-10) -> WitnessReport:
         relabel=dict(source.witness.relabel),
         deviations=(dev1, dev2),
         max_deviation=worst,
-        tolerance=tol,
-        passed=worst <= tol,
+        tolerance=WITNESS_TOL,
+        passed=worst <= WITNESS_TOL,
     )
 
 
@@ -632,7 +580,7 @@ def symmetric_variant_success() -> UnambiguousResult:
     psi = states.ket("00")
     r1 = haar.average_pattern(psi, base.pattern1).rho
     r2 = haar.average_pattern(psi, base.pattern2).rho
-    p_sym, p_anti = _pair_ops((0, 1), 2)
+    p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
     povm = Povm({"identify-2": p_anti, "fail": p_sym})
     return unambiguous_eval(povm, [r1, r2], base.priors, base.mapping)
 
@@ -655,8 +603,8 @@ def random_pairwise_baseline() -> float:
     scenario = build_scenario("two-ref-symmetric")
     r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
     r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
-    _, anti_02 = _pair_ops((0, 2), 3)
-    _, anti_12 = _pair_ops((1, 2), 3)
+    _, anti_02 = states.sym_antisym_projectors((0, 2), 3)
+    _, anti_12 = states.sym_antisym_projectors((1, 2), 3)
     p1 = float(np.real(np.trace(anti_12 @ r1)))  # conclusive for hypothesis 1
     p2 = float(np.real(np.trace(anti_02 @ r2)))  # conclusive for hypothesis 2
     return 0.5 * (0.5 * p1 + 0.5 * p2)

@@ -13,6 +13,7 @@ import numpy as np
 from . import linalg
 
 NORM_TOL = 1e-12
+TRACE_TOL = 1e-12
 
 _BELL = {
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
@@ -37,32 +38,28 @@ def density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def assert_normalized(psi: np.ndarray, tol: float = NORM_TOL) -> None:
+def assert_normalized(psi: np.ndarray) -> None:
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state norm {nrm} deviates from 1 by more than {tol}")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_TOL}")
 
 
-def check_density(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> None:
+def check_density(rho: np.ndarray) -> None:
     """Validate a density matrix: Hermitian, unit trace, no real negativity.
 
+    The thresholds are linalg.HERM_TOL, TRACE_TOL and linalg.PSD_FLOOR.
     Raises ValueError describing the first violated property.
     """
     rho = np.asarray(rho)
     herr = linalg.hermiticity_error(rho)
-    if herr > herm_tol:
+    if herr > linalg.HERM_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herr:.3g})")
     terr = abs(complex(np.trace(rho)) - 1.0)
-    if terr > trace_tol:
+    if terr > TRACE_TOL:
         raise ValueError(f"density matrix trace off by {terr:.3g}")
     lam_min = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-    if lam_min < eig_floor:
-        raise ValueError(f"density matrix has eigenvalue {lam_min:.3g} below {eig_floor}")
+    if lam_min < linalg.PSD_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {lam_min:.3g} below {linalg.PSD_FLOOR}")
 
 
 def bell(kind: str) -> np.ndarray:

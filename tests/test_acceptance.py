@@ -127,7 +127,7 @@ def test_criterion_06_same_or_different_pair():
 
 
 def test_criterion_07_order_task_equivalence_witness():
-    report = equivalence_witness_order_refs(tol=1e-10)
+    report = equivalence_witness_order_refs()
     assert report.passed
     assert report.max_deviation <= 1e-10
 

@@ -216,13 +216,18 @@ class TestEngineAgreement:
         assert np.max(np.abs(t - _einsum_channel(method, nodes, k))) <= 1e-13
 
     def test_chunked_channel_build_matches_unchunked(self, monkeypatch):
-        monkeypatch.setattr(haar, "_CHANNELS", {})
-        monkeypatch.setattr(haar, "_CHUNK", 10**9)
-        whole = {m: haar._twirl_channel(m, 8, 3) for m in ("design", "quadrature")}
-        monkeypatch.setattr(haar, "_CHANNELS", {})
-        monkeypatch.setattr(haar, "_CHUNK", 5)
-        for method, t in whole.items():
-            assert np.max(np.abs(haar._twirl_channel(method, 8, 3) - t)) <= 1e-13
+        rules = (("design", None), ("quadrature", 8))
+        try:
+            haar._twirl_channel.cache_clear()
+            monkeypatch.setattr(haar, "_CHUNK", 10**9)
+            whole = {rule: haar._twirl_channel(*rule, 3) for rule in rules}
+            haar._twirl_channel.cache_clear()
+            monkeypatch.setattr(haar, "_CHUNK", 5)
+            for rule, t in whole.items():
+                assert np.max(np.abs(haar._twirl_channel(*rule, 3) - t)) <= 1e-13
+        finally:
+            # Channels built from 5-element chunks must not serve later tests.
+            haar._twirl_channel.cache_clear()
 
     def test_monte_carlo_within_four_stderr(self):
         psi = states.approx_double_singlet_3q()

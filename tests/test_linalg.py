@@ -144,10 +144,6 @@ class TestRangeBasis:
         gram = sub.basis.conj().T @ sub.basis
         assert np.max(np.abs(gram - np.eye(sub.dim))) <= 1e-10
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            range_basis(np.eye(2), tol=0.0)
-
 
 class TestSubspace:
     def test_rejects_non_orthonormal_basis(self):

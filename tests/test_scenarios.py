@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from boxdisc import cli, haar, linalg, scenarios, states
-from boxdisc.discrimination import Povm, validate_povm
+from boxdisc.discrimination import Povm, helstrom, validate_povm
 from boxdisc.scenarios import (
     SCENARIO_IDS,
+    Scenario,
     _mc_figure,
     auxiliary_value,
     build_scenario,
@@ -31,6 +32,25 @@ EXPECTED_IDS = (
     "two-ref-singlet",
     "two-ref-symmetric",
 )
+
+_BOTH = {"identify-1": 0, "identify-2": 1}
+_GUESSES = {"guess-1": 0, "guess-2": 1}
+_SECOND = {"identify-2": 1}
+
+#: Mode and mapping that each scenario's POVM labels must give.
+EXPECTED_DECISIONS = {
+    "one-ref-minerror": ("min_error", _GUESSES),
+    "one-ref-unambiguous": ("unambiguous", _SECOND),
+    "order-two-u-refs": ("unambiguous", _BOTH),
+    "order-uv-refs": ("unambiguous", _SECOND),
+    "pair-same-minerror": ("min_error", _GUESSES),
+    "pair-same-unambiguous": ("unambiguous", _BOTH),
+    "two-ref-4q-pairwise": ("unambiguous", _BOTH),
+    "two-ref-4q-subspace": ("unambiguous", _BOTH),
+    "two-ref-minerror-3q": ("min_error", _GUESSES),
+    "two-ref-singlet": ("unambiguous", _SECOND),
+    "two-ref-symmetric": ("unambiguous", _BOTH),
+}
 
 
 class TestCatalog:
@@ -76,6 +96,62 @@ class TestCatalog:
         scenario = build_scenario(sid)
         assert scenario.paper_value == reference_value(sid)
         assert scenario.citation
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize("sid", EXPECTED_IDS)
+    def test_mode_and_mapping_follow_from_povm_labels(self, sid):
+        scenario = build_scenario(sid)
+        mode, mapping = EXPECTED_DECISIONS[sid]
+        assert scenario.mode == mode
+        assert dict(scenario.mapping) == mapping
+        assert scenario.priors == (0.5, 0.5)
+
+    def test_replaced_povm_brings_its_own_mode(self):
+        # A Helstrom measurement on the unambiguous task turns it into a
+        # minimum-error run; its error 1/8 does not match the 3/8 reference.
+        scenario = build_scenario("one-ref-unambiguous")
+        r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
+        r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
+        probe = dataclasses.replace(scenario, povm=helstrom(r1, r2).optimal_projectors)
+        assert probe.mode == "min_error"
+        assert dict(probe.mapping) == _GUESSES
+        res = run_scenario(probe)
+        assert res.mode == "min_error" and res.cross_talk is None
+        assert res.analytic == pytest.approx(1 / 8, abs=1e-12)
+        assert res.passed is False
+
+    @pytest.mark.parametrize(
+        "labels", (("identify-1", "guess-2"), ("a", "fail"), ("guess-1", "guess-2", "fail"))
+    )
+    def test_unknown_or_mixed_labels_rejected(self, labels):
+        scenario = build_scenario("one-ref-minerror")
+        share = np.eye(4, dtype=complex) / len(labels)
+        with pytest.raises(ValueError):
+            dataclasses.replace(scenario, povm=Povm({l: share for l in labels}))
+
+    def test_derived_fields_are_not_init_arguments(self):
+        scenario = build_scenario("one-ref-minerror")
+        given = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(Scenario) if f.init}
+        assert sorted(given) == [
+            "id", "metadata", "pattern1", "pattern2", "povm", "state", "witness"
+        ]
+        assert Scenario(**given).mode == "min_error"
+        for name in ("mode", "mapping", "paper_value", "citation", "priors"):
+            with pytest.raises(TypeError):
+                Scenario(**given, **{name: getattr(scenario, name)})
+
+    def test_string_patterns_are_converted(self):
+        scenario = build_scenario("one-ref-minerror")
+        variant = dataclasses.replace(scenario, pattern1="UU", pattern2="UV")
+        assert variant.pattern1 == haar.as_pattern("UU")
+        assert variant.pattern2 == haar.as_pattern("UV")
+
+    def test_equality_is_identity(self):
+        scenario = build_scenario("one-ref-minerror")
+        assert scenario == scenario
+        assert (scenario == dataclasses.replace(scenario)) is False
+        assert len({build_scenario(sid) for sid in SCENARIO_IDS}) == 11
 
 
 class TestAnalyticRuns:
