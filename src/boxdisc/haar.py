@@ -34,8 +34,9 @@ The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
 yields seeded chunks of gate stacks, and apply_boxes puts them on a batch of
 kets or operator columns one wire at a time, so the full 2**n x 2**n W is
-never built. An operator average W x W+ is two such passes, W x and then
-W (W x)+.
+never built. The batch has shape (d, r, m), samples last: every product then
+runs over contiguous rows of m samples instead of over the r = 1 entries of
+a ket. An operator average W x W+ is two such passes, W x and then W (W x)+.
 """
 
 from __future__ import annotations
@@ -310,24 +311,28 @@ def draw_boxes(samples: int, seed, labels):
 
 
 def apply_boxes(batch: np.ndarray, pattern, gates) -> np.ndarray:
-    """W_s batch[s] for a batch of shape (m, d, r), applied wire by wire.
+    """W_s batch[..., s] for a samples-last batch of shape (d, r, m).
 
     W_s puts gates[label][s] on every wire carrying that label and leaves idle
     wires alone; wire 0 is the leading qubit of the d = 2**n rows. The batch
-    may be a broadcast view. Each wire costs O(m d r), and W itself is never
-    formed.
+    may be a broadcast view. Samples go last so that every product below runs
+    over contiguous rows of m samples: with samples first, the inner loops
+    would be only r long (1 for kets). Each wire costs O(m d r), and W itself
+    is never formed.
     """
-    m, d, r = batch.shape
+    d, r, m = batch.shape
     out = batch
     for wire, label in enumerate(as_pattern(pattern).labels):
         if label == "I":
             continue
-        g = gates[label][:, None, :, :, None, None]  # (m, 1, out bit, in bit, 1, 1)
-        o = out.reshape(m, 2**wire, 2, -1, r)  # (m, wires before, in bit, after, r)
-        new = g[:, :, :, 0] * o[:, :, None, 0]
-        new += g[:, :, :, 1] * o[:, :, None, 1]
+        g = gates[label].transpose(1, 2, 0)  # (out bit, in bit, m)
+        o = out.reshape(2**wire, 2, -1, m)  # (wires before, in bit, after * r, m)
+        new = np.empty(o.shape, dtype=complex)
+        for bit in (0, 1):
+            np.multiply(g[bit, 0], o[:, 0], out=new[:, bit])
+            new[:, bit] += g[bit, 1] * o[:, 1]
         out = new
-    return out.reshape(m, d, r)
+    return out.reshape(d, r, m)
 
 
 def _mc_operator_average(x, pattern, samples, seed):
@@ -342,10 +347,10 @@ def _mc_operator_average(x, pattern, samples, seed):
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim), dtype=float)
     for m, gates in draw_boxes(samples, seed, pattern.labels):
-        wx = apply_boxes(np.broadcast_to(x, (m, dim, dim)), pattern, gates)
-        y = apply_boxes(wx.conj().transpose(0, 2, 1), pattern, gates) - x_h
-        total += y.sum(axis=0)
-        total_sq += (np.abs(y) ** 2).sum(axis=0)
+        wx = apply_boxes(np.broadcast_to(x[..., None], (dim, dim, m)), pattern, gates)
+        y = apply_boxes(wx.conj().transpose(1, 0, 2), pattern, gates) - x_h[..., None]
+        total += y.sum(axis=-1)
+        total_sq += (np.abs(y) ** 2).sum(axis=-1)
     shift = total.conj().T / samples
     var = np.maximum(total_sq.T / samples - np.abs(shift) ** 2, 0.0)
     stderr = float(np.max(np.sqrt(var / samples)))

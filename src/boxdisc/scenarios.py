@@ -50,10 +50,17 @@ WITNESS_TOL = 1e-10
 
 
 @functools.cache
+def _reference_text() -> str:
+    return resources.files("boxdisc").joinpath("reference_values.json").read_text()
+
+
 def load_reference_values() -> dict:
-    """Versioned reference-value fixture shipped with the package."""
-    text = resources.files("boxdisc").joinpath("reference_values.json").read_text()
-    return json.loads(text)
+    """Versioned reference-value fixture shipped with the package.
+
+    Each call parses a fresh copy, so a caller that writes into it cannot
+    change the reference values of scenarios built later.
+    """
+    return json.loads(_reference_text())
 
 
 def reference_value(scenario_id: str) -> float:
@@ -434,16 +441,16 @@ def _mc_figure(scenario: Scenario, samples: int, seed: int):
         if labels:
             op = scenario.priors[i] * sum(np.asarray(elements[l]) for l in labels)
             scored.append((pattern, op))
-    psi = scenario.state[:, None]
+    psi = scenario.state[:, None, None]
     total = 0.0
     shift = None
     dev = 0.0
     dev_sq = 0.0
     for m, gates in haar.draw_boxes(samples, seed, p1.labels + p2.labels):
-        kets = np.broadcast_to(psi, (m,) + psi.shape)
+        kets = np.broadcast_to(psi, (len(psi), 1, m))
         values = np.zeros(m)
         for pattern, op in scored:
-            out = haar.apply_boxes(kets, pattern, gates).reshape(m, -1)
+            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
             values += np.real(np.sum((out.conj() @ op) * out, axis=1))
         if shift is None:
             shift = values[0]

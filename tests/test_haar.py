@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxdisc import haar, linalg, states
+from boxdisc import haar, linalg, scenarios, states
 from boxdisc.haar import BoxPattern, average_pattern, twirl_operator
 
 seeds = st.integers(0, 2**32 - 1)
@@ -308,6 +308,52 @@ def _kron_reference(x, pattern, samples, seed):
     return total / samples
 
 
+def _apply_boxes_samples_first(batch, pattern, gates):
+    """W_s batch[s] for a batch of shape (m, d, r): the sample-first kernel.
+
+    The samples-last haar.apply_boxes must reproduce it bit for bit: per
+    element it forms the same two products and adds them in the same order.
+    """
+    m, d, r = batch.shape
+    out = batch
+    for wire, label in enumerate(haar.as_pattern(pattern).labels):
+        if label == "I":
+            continue
+        g = gates[label][:, None, :, :, None, None]  # (m, 1, out bit, in bit, 1, 1)
+        o = out.reshape(m, 2**wire, 2, -1, r)  # (m, wires before, in bit, after, r)
+        new = g[:, :, :, 0] * o[:, :, None, 0]
+        new += g[:, :, :, 1] * o[:, :, None, 1]
+        out = new
+    return out.reshape(m, d, r)
+
+
+def _mc_figure_samples_first(scenario, samples, seed):
+    """scenarios._mc_figure scored on sample-first batches of kets."""
+    right = scenario.mode == "unambiguous"
+    scored = []
+    for i, pattern in enumerate((scenario.pattern1, scenario.pattern2)):
+        labels = [l for l, t in scenario.mapping.items() if (int(t) == i) == right]
+        if labels:
+            elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
+            scored.append((pattern, scenario.priors[i] * sum(elements)))
+    psi = scenario.state[:, None]
+    total, shift, dev, dev_sq = 0.0, None, 0.0, 0.0
+    labels = scenario.pattern1.labels + scenario.pattern2.labels
+    for m, gates in haar.draw_boxes(samples, seed, labels):
+        kets = np.broadcast_to(psi, (m,) + psi.shape)
+        values = np.zeros(m)
+        for pattern, op in scored:
+            out = _apply_boxes_samples_first(kets, pattern, gates).reshape(m, -1)
+            values += np.real(np.sum((out.conj() @ op) * out, axis=1))
+        if shift is None:
+            shift = values[0]
+        total += float(values.sum())
+        dev += float((values - shift).sum())
+        dev_sq += float(((values - shift) ** 2).sum())
+    var = max(dev_sq / samples - (dev / samples) ** 2, 0.0)
+    return total / samples, float(np.sqrt(var / samples))
+
+
 class TestMonteCarloKernel:
     def test_matches_explicit_kron_on_nonsymmetric_operator(self):
         rng = np.random.default_rng(21)
@@ -327,11 +373,49 @@ class TestMonteCarloKernel:
         rng = np.random.default_rng(23)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         ((m, gates),) = list(haar.draw_boxes(6, 3, "UIV"))
-        kets = np.broadcast_to(psi[:, None], (m, 8, 1))
+        kets = np.broadcast_to(psi[:, None, None], (8, 1, m))
         out = haar.apply_boxes(kets, "UIV", gates)
         for s in range(m):
             w = np.kron(np.kron(gates["U"][s], np.eye(2)), gates["V"][s])
-            assert np.max(np.abs(out[s, :, 0] - w @ psi)) <= 1e-12
+            assert np.max(np.abs(out[:, 0, s] - w @ psi)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", (1, 1000, haar._CHUNK))
+    def test_kernel_on_scenario_kets_matches_samples_first_bits(self, samples):
+        ((m, gates),) = haar.draw_boxes(samples, 17, "UV")
+        for sid in scenarios.SCENARIO_IDS:
+            scenario = scenarios.build_scenario(sid)
+            psi = scenario.state
+            for pattern in (scenario.pattern1, scenario.pattern2):
+                kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
+                old = _apply_boxes_samples_first(
+                    np.broadcast_to(psi[:, None], (m, len(psi), 1)), pattern, gates
+                )
+                out = haar.apply_boxes(kets, pattern, gates)
+                assert np.array_equal(out.transpose(2, 0, 1), old), (sid, str(pattern))
+
+    @pytest.mark.parametrize("samples", (1, 1000, haar._CHUNK))
+    def test_kernel_on_operator_columns_matches_samples_first_bits(self, samples):
+        rng = np.random.default_rng(24)
+        built = [scenarios.build_scenario(sid) for sid in scenarios.SCENARIO_IDS]
+        patterns = {p for sc in built for p in (sc.pattern1, sc.pattern2)}
+        ((m, gates),) = haar.draw_boxes(samples, 18, "UV")
+        x = rng.normal(size=(16, 16, m)) + 1j * rng.normal(size=(16, 16, m))
+        for pattern in sorted(patterns, key=str):
+            d = 2 ** len(pattern)
+            # A strided, transposed batch, as in the second pass of the
+            # operator average.
+            batch = x[:d, :d].transpose(1, 0, 2)
+            old = _apply_boxes_samples_first(batch.transpose(2, 0, 1), pattern, gates)
+            out = haar.apply_boxes(batch, pattern, gates)
+            assert np.array_equal(out.transpose(2, 0, 1), old), str(pattern)
+
+    @pytest.mark.parametrize("sid", ("one-ref-minerror", "two-ref-minerror-3q", "order-two-u-refs"))
+    def test_mc_figure_matches_samples_first_scorer_bits(self, sid):
+        scenario = scenarios.build_scenario(sid)
+        for samples, seed in ((1, 1), (5000, 7)):
+            assert scenarios._mc_figure(scenario, samples, seed) == (
+                _mc_figure_samples_first(scenario, samples, seed)
+            )
 
     def test_chunked_draw_keeps_stream(self, monkeypatch):
         whole = list(haar.draw_boxes(10, 8, "UV"))

@@ -311,6 +311,12 @@ class TestVariants:
         assert variant is not build_scenario("two-ref-singlet")
         assert not variant.state.flags.writeable
 
+    def test_writing_into_loaded_fixture_changes_no_later_scenario(self):
+        values = scenarios.load_reference_values()["scenario_values"]
+        values["two-ref-singlet"]["value"] = 0.5
+        res = two_ref_singlet_with_ancilla(states.ket("0"))
+        assert res.paper_value == 0.375 and res.passed
+
     def test_random_guess_baseline_below_pairwise(self):
         baseline = random_pairwise_baseline()
         assert baseline == pytest.approx(
