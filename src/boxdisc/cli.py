@@ -48,10 +48,12 @@ def _check_args(args) -> str | None:
         return "--method monte_carlo requires --samples N with N > 0"
     if args.method != "monte_carlo" and args.samples > 0:
         return "--samples is only meaningful with --method monte_carlo"
+    if args.samples == 1:
+        return "--samples must be at least 2: one sample has no error bar"
     if not 0 <= args.seed < 2**64:
         return "--seed must fit in 64 bits"
-    if args.nodes < 8:
-        return "--nodes must be at least 8"
+    if args.nodes < haar.MIN_NODES:
+        return f"--nodes must be at least {haar.MIN_NODES}"
     return None
 
 
@@ -179,7 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=haar.DEFAULT_NODES,
         metavar="N",
-        help=f"quadrature nodes per angle, at least 8 (default: {haar.DEFAULT_NODES})",
+        help=(
+            f"quadrature nodes per angle, at least {haar.MIN_NODES} "
+            f"(default: {haar.DEFAULT_NODES})"
+        ),
     )
     parser.add_argument(
         "--format",

@@ -35,14 +35,23 @@ __all__ = [
     "unambiguous_subspace_povm",
 ]
 
-CROSS_TALK_TOL = 1e-9
-
 #: Largest max |sum(E) - I| of a complete POVM.
 SUM_TOL = 1e-10
 
 #: Principal-vector cosines within COSINE_TOL of 1 count as a shared
 #: direction, within COSINE_TOL of 0 as an orthogonal pair.
 COSINE_TOL = 1e-9
+
+
+#: Decision semantics of the legal POVM labels: the mode each one implies
+#: and the hypothesis it names, None for the inconclusive outcome.
+_LABELS = {
+    "identify-1": ("unambiguous", 0),
+    "identify-2": ("unambiguous", 1),
+    "guess-1": ("min_error", 0),
+    "guess-2": ("min_error", 1),
+    "fail": ("unambiguous", None),
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,23 @@ class Povm:
     @property
     def dim(self) -> int:
         return next(iter(self.elements.values())).shape[0]
+
+    @property
+    def decision(self) -> tuple:
+        """(mode, mapping) fixed by the outcome labels through _LABELS.
+
+        mapping sends each identification or guess label to the hypothesis
+        index it names. Rejects a label outside _LABELS and labels that imply
+        two modes, which includes a fail outcome beside minimum-error guesses.
+        """
+        unknown = sorted(set(self.labels) - set(_LABELS))
+        if unknown:
+            raise ValueError(f"unknown POVM labels {unknown}; use one of {sorted(_LABELS)}")
+        modes = {_LABELS[label][0] for label in self.labels}
+        if len(modes) != 1:
+            raise ValueError(f"POVM labels {sorted(self.labels)} mix the modes {sorted(modes)}")
+        mapping = {l: _LABELS[l][1] for l in self.labels if _LABELS[l][1] is not None}
+        return modes.pop(), mapping
 
 
 @dataclass(frozen=True)
@@ -216,48 +242,37 @@ class UnambiguousResult:
     failure_prob: float
 
 
-def unambiguous_eval(povm: Povm, hypothesis_states, priors, mapping: dict) -> UnambiguousResult:
-    """Score a labelled POVM as an unambiguous discriminator.
+def unambiguous_eval(povm: Povm, hypothesis_states, priors) -> UnambiguousResult:
+    """Score a POVM as an unambiguous discriminator.
 
-    mapping sends identification labels to hypothesis indices; at most one
-    POVM element may stay unmapped and becomes the failure outcome. A state
-    without any identification label simply has success probability 0 (some
+    The labels fix which hypothesis each identification element names (see
+    Povm.decision); a POVM whose labels are not unambiguous is rejected, and
+    its fail element, if any, is the inconclusive outcome. A state without
+    any identification label simply has success probability 0 (some
     strategies can never identify one of the hypotheses).
     """
+    mode, mapping = povm.decision
+    if mode != "unambiguous":
+        raise ValueError(f"POVM labels {sorted(povm.labels)} are not unambiguous")
     rhos = [np.asarray(r, dtype=complex) for r in hypothesis_states]
     priors = [float(p) for p in priors]
-    if len(priors) != len(rhos):
-        raise ValueError("need one prior per hypothesis state")
+    if len(rhos) != 2 or len(priors) != 2:
+        raise ValueError("the labels name two hypotheses: pass two states and two priors")
     if any(p < 0 for p in priors) or abs(sum(priors) - 1.0) > 1e-12:
         raise ValueError(f"priors {priors} must be nonnegative and sum to 1")
-    unknown = sorted(set(mapping) - set(povm.labels))
-    if unknown:
-        raise ValueError(f"mapping references missing POVM elements {unknown}")
-    bad_targets = {l: i for l, i in mapping.items() if not 0 <= int(i) < len(rhos)}
-    if bad_targets:
-        raise ValueError(f"mapping targets invalid hypothesis indices: {bad_targets}")
-    unmapped = [l for l in povm.labels if l not in mapping]
-    if len(unmapped) > 1:
-        raise ValueError(
-            f"elements {unmapped} are all unmapped; only one failure outcome is allowed"
-        )
 
     probs = [outcome_probs(povm, rho) for rho in rhos]
     per_state = tuple(
-        sum(p[label] for label, idx in mapping.items() if int(idx) == i)
+        sum(p[label] for label, idx in mapping.items() if idx == i)
         for i, p in enumerate(probs)
     )
     cross = 0.0
     for label, idx in mapping.items():
         for j, p in enumerate(probs):
-            if j != int(idx):
+            if j != idx:
                 cross = max(cross, abs(p[label]))
     p_success = float(sum(pr * s for pr, s in zip(priors, per_state)))
-    failure = (
-        float(sum(pr * p[unmapped[0]] for pr, p in zip(priors, probs)))
-        if unmapped
-        else 0.0
-    )
+    failure = float(sum(pr * p.get("fail", 0.0) for pr, p in zip(priors, probs)))
     return UnambiguousResult(p_success, per_state, cross, failure)
 
 

@@ -2,15 +2,20 @@
 
 Each scenario fixes a test state, the two box patterns it must tell apart
 and a measurement with decision labels. The labels (identify-k, guess-k,
-fail) fix the decision mode and the hypothesis each outcome names, and the
-id fixes the reference success (or error) probability the implementation
-has to reproduce. Scenario construction is pure, so build_scenario builds
-each scenario once per process and hands out the same frozen object
-afterwards: its arrays and mappings are read-only, and its POVM is
-validated once, at construction. Running a scenario averages
-the state under both hypotheses with the chosen engine, scores the
-measurement, and optionally cross-checks the figure with a per-sample Monte
-Carlo simulation of the actual experiment.
+fail; their table lives next to Povm in discrimination) fix the decision
+mode and the hypothesis each outcome names, and the id fixes the reference
+success (or error) probability the implementation has to reproduce.
+Scenario construction is pure, so build_scenario builds each scenario once
+per process and hands out the same frozen object afterwards: its arrays and
+mappings are read-only, and its POVM is validated once, at construction.
+Running a scenario averages the state under both hypotheses with the chosen
+engine, scores the measurement, and optionally cross-checks the figure with
+a per-sample Monte Carlo simulation of the actual experiment.
+
+run_scenario is the only scorer. The auxiliary figures (another input,
+another ancilla, the coin-flip pairwise baseline) are dataclasses.replace
+variants of a shipped scenario; a variant whose id names an auxiliary
+fixture entry is checked against that entry.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
 to the tester, the later ones the boxes under test. All scenarios use equal
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from types import MappingProxyType
 from typing import ClassVar
@@ -30,10 +35,8 @@ import numpy as np
 
 from . import haar, linalg, states
 from .discrimination import (
-    CROSS_TALK_TOL,
     Povm,
     PovmReport,
-    UnambiguousResult,
     helstrom,
     outcome_probs,
     unambiguous_eval,
@@ -44,6 +47,7 @@ from .haar import BoxPattern, as_pattern
 
 PASS_TOL = 1e-9
 MC_SIGMA = 4.0
+CROSS_TALK_TOL = 1e-9
 
 #: Tolerance of the entrywise check in equivalence_witness_order_refs.
 WITNESS_TOL = 1e-10
@@ -63,12 +67,19 @@ def load_reference_values() -> dict:
     return json.loads(_reference_text())
 
 
-def reference_value(scenario_id: str) -> float:
-    return float(load_reference_values()["scenario_values"][scenario_id]["value"])
+def reference_value(name: str) -> float:
+    """Fixture value of a scenario id or of an auxiliary entry.
+
+    The two tables share no key, so a variant whose id names an auxiliary
+    entry is checked against that figure.
+    """
+    fixture = load_reference_values()
+    return float({**fixture["scenario_values"], **fixture["auxiliary"]}[name]["value"])
 
 
-def reference_citation(scenario_id: str) -> str:
-    return str(load_reference_values()["scenario_values"][scenario_id]["citation"])
+def reference_citation(name: str) -> str:
+    fixture = load_reference_values()
+    return str({**fixture["scenario_values"], **fixture["auxiliary"]}[name]["citation"])
 
 
 def auxiliary_value(name: str):
@@ -97,44 +108,18 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-#: Decision semantics of the legal POVM labels: the mode each one implies
-#: and the hypothesis it names, None for the inconclusive outcome.
-_LABELS = {
-    "identify-1": ("unambiguous", 0),
-    "identify-2": ("unambiguous", 1),
-    "guess-1": ("min_error", 0),
-    "guess-2": ("min_error", 1),
-    "fail": ("unambiguous", None),
-}
-
-
-def _decision(labels) -> tuple:
-    """(mode, mapping) fixed by a POVM's outcome labels.
-
-    Rejects a label outside _LABELS and a POVM whose labels imply two modes,
-    which includes a fail outcome beside minimum-error guesses.
-    """
-    unknown = sorted(set(labels) - set(_LABELS))
-    if unknown:
-        raise ValueError(f"unknown POVM labels {unknown}; use one of {sorted(_LABELS)}")
-    modes = {_LABELS[label][0] for label in labels}
-    if len(modes) != 1:
-        raise ValueError(f"POVM labels {sorted(labels)} mix the modes {sorted(modes)}")
-    mapping = {label: _LABELS[label][1] for label in labels if _LABELS[label][1] is not None}
-    return modes.pop(), mapping
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Frozen description of one discrimination task.
 
     The init fields are what a task chooses; the rest is derived at
-    construction. paper_value and citation are the fixture entry for id;
-    mode and mapping follow from the POVM labels (see _LABELS); priors are
-    equal for every task. Construction also freezes the scenario: patterns
-    become BoxPatterns, the state and POVM elements read-only array copies,
-    the element table, mapping and metadata read-only mappings, and
-    povm_report keeps validate_povm's report. dataclasses.replace goes
+    construction. paper_value and citation are the fixture entry for id, a
+    scenario id or an auxiliary name; mode and mapping follow from the POVM
+    labels (see Povm.decision); priors are equal for every task.
+    Construction also freezes the scenario: patterns become BoxPatterns, the
+    state and POVM elements read-only array copies, the element table,
+    mapping and metadata read-only mappings, and povm_report keeps
+    validate_povm's report. dataclasses.replace goes
     through the same steps, so a variant carries the mode, mapping and
     report of its own POVM. Equality is identity, like the per-process
     cache of build_scenario.
@@ -156,7 +141,7 @@ class Scenario:
     povm_report: PovmReport = field(init=False)
 
     def __post_init__(self):
-        mode, mapping = _decision(self.povm.labels)
+        mode, mapping = self.povm.decision
         elements = {label: _read_only(e) for label, e in self.povm.elements.items()}
         povm = Povm(MappingProxyType(elements))
         object.__setattr__(self, "state", _read_only(self.state))
@@ -183,7 +168,8 @@ class ScenarioResult:
     CROSS_TALK_TOL, in minimum-error mode the POVM's own error
     (metadata["povm_error"]) to match the Helstrom bound within PASS_TOL,
     and, when present, the Monte Carlo estimate to sit within MC_SIGMA
-    standard errors of analytic.
+    standard errors of analytic. All three gates are this module's
+    constants.
     """
 
     scenario_id: str
@@ -199,13 +185,13 @@ class ScenarioResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _singlet_with_ancilla(b_state=None) -> np.ndarray:
+def _singlet_with_ancilla(b_state) -> np.ndarray:
     """Three-wire input: singlet on wires (0, 2), ancilla wire 1.
 
-    The ancilla defaults to |0>; any normalized single-qubit state works and
-    must not change the outcome, which tests exercise with random inputs.
+    The shipped scenario uses |0>; any normalized single-qubit state works
+    and must not change the outcome, which tests exercise with random inputs.
     """
-    anc = states.ket("0") if b_state is None else np.asarray(b_state, dtype=complex)
+    anc = np.asarray(b_state, dtype=complex)
     if anc.shape != (2,):
         raise ValueError("ancilla must be a single-qubit state")
     states.assert_normalized(anc)
@@ -253,11 +239,11 @@ def _build_one_ref(mode: str) -> Scenario:
     )
 
 
-def _build_two_ref_singlet(b_state=None) -> Scenario:
+def _build_two_ref_singlet() -> Scenario:
     p_sym, p_anti = states.sym_antisym_projectors((0, 2), 3)
     return Scenario(
         id="two-ref-singlet",
-        state=_singlet_with_ancilla(b_state),
+        state=_singlet_with_ancilla(states.ket("0")),
         pattern1="UVU",
         pattern2="UVV",
         povm=Povm({"identify-2": p_sym, "fail": p_anti}),
@@ -488,9 +474,7 @@ def run_scenario(
     r2 = haar.average_pattern(scenario.state, scenario.pattern2, analytic_method, nodes=nodes)
     metadata = dict(scenario.metadata)
     if scenario.mode == "unambiguous":
-        ev = unambiguous_eval(
-            scenario.povm, [r1.rho, r2.rho], scenario.priors, scenario.mapping
-        )
+        ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho], scenario.priors)
         analytic = ev.p_success
         cross_talk = ev.cross_talk
         metadata["failure_prob"] = ev.failure_prob
@@ -576,20 +560,21 @@ def equivalence_witness_order_refs() -> WitnessReport:
     )
 
 
-def symmetric_variant_success() -> UnambiguousResult:
+def symmetric_variant_success() -> ScenarioResult:
     """One-reference test fed the symmetric pair |00> instead of the singlet.
 
     A same-box pair now stays in the symmetric sector, so the conclusive
     outcome is the antisymmetric one; it fires on a quarter of the
     different-box average, cutting the success probability to 1/8.
     """
-    base = build_scenario("one-ref-unambiguous")
-    psi = states.ket("00")
-    r1 = haar.average_pattern(psi, base.pattern1).rho
-    r2 = haar.average_pattern(psi, base.pattern2).rho
     p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
-    povm = Povm({"identify-2": p_anti, "fail": p_sym})
-    return unambiguous_eval(povm, [r1, r2], base.priors, base.mapping)
+    variant = replace(
+        build_scenario("one-ref-unambiguous"),
+        id="one-ref-symmetric-variant",
+        state=states.ket("00"),
+        povm=Povm({"identify-2": p_anti, "fail": p_sym}),
+    )
+    return run_scenario(variant)
 
 
 def two_ref_singlet_with_ancilla(b_state) -> ScenarioResult:
@@ -597,21 +582,23 @@ def two_ref_singlet_with_ancilla(b_state) -> ScenarioResult:
 
     The variant is built afresh on every call and never enters the cache.
     """
-    return run_scenario(_build_two_ref_singlet(b_state))
+    base = build_scenario("two-ref-singlet")
+    return run_scenario(replace(base, state=_singlet_with_ancilla(b_state)))
 
 
-def random_pairwise_baseline() -> float:
+def random_pairwise_baseline() -> ScenarioResult:
     """Success of flipping a coin between the two pairwise singlet tests.
 
     On the symmetric three-wire input each pairwise test succeeds with
     probability 1/4 against the hypothesis it can rule out and is chosen half
     the time, so the strategy the joint measurement has to beat scores 1/8.
+    The coin flip is the two-reference symmetric POVM at weight 1/2.
     """
-    scenario = build_scenario("two-ref-symmetric")
-    r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
-    r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
     _, anti_02 = states.sym_antisym_projectors((0, 2), 3)
     _, anti_12 = states.sym_antisym_projectors((1, 2), 3)
-    p1 = float(np.real(np.trace(anti_12 @ r1)))  # conclusive for hypothesis 1
-    p2 = float(np.real(np.trace(anti_02 @ r2)))  # conclusive for hypothesis 2
-    return 0.5 * (0.5 * p1 + 0.5 * p2)
+    variant = replace(
+        build_scenario("two-ref-symmetric"),
+        id="random-pairwise-baseline",
+        povm=_with_fail({"identify-1": 0.5 * anti_12, "identify-2": 0.5 * anti_02}),
+    )
+    return run_scenario(variant)

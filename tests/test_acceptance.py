@@ -40,7 +40,7 @@ def test_criterion_01_one_reference_unambiguous():
     elapsed = time.perf_counter() - start
     assert abs(res.analytic - 3 / 8) <= 1e-9
     assert abs(res.metadata["failure_prob"] - 5 / 8) <= 1e-9
-    assert abs(variant.p_success - 1 / 8) <= 1e-9
+    assert abs(variant.analytic - 1 / 8) <= 1e-9 and variant.passed
     assert elapsed < 1.0
 
 

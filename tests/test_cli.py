@@ -34,9 +34,16 @@ class TestArgumentValidation:
         code, _, err = run_main(capsys)
         assert code == 2 and err
 
+    def test_one_sample_is_usage_error(self, capsys):
+        # One sample has stderr 0, so the Monte Carlo gate could never pass.
+        code, out, err = run_main(
+            capsys, "--all", "--method", "monte_carlo", "--samples", "1"
+        )
+        assert code == 2 and not out and "one sample has no error bar" in err
+
     def test_too_few_nodes(self, capsys):
-        code, _, err = run_main(capsys, "--all", "--nodes", "7")
-        assert code == 2 and "nodes" in err
+        code, _, err = run_main(capsys, "--all", "--nodes", "6")
+        assert code == 2 and "nodes must be at least 7" in err
 
     def test_unknown_format_rejected_by_argparse(self, capsys):
         code, _, _ = run_main(capsys, "--all", "--format", "xml")
@@ -122,7 +129,7 @@ class TestRunOutputs:
 
     def test_all_pass_at_smallest_accepted_nodes(self, capsys):
         code, out, _ = run_main(
-            capsys, "--all", "--method", "quadrature", "--nodes", "8", "--format", "csv"
+            capsys, "--all", "--method", "quadrature", "--nodes", "7", "--format", "csv"
         )
         rows = out.splitlines()[1:]
         assert code == 0 and len(rows) == len(SCENARIO_IDS)

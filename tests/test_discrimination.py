@@ -154,12 +154,7 @@ class TestSingletWeightScan:
 class TestUnambiguousEval:
     def test_one_reference_numbers(self):
         _, p_anti = states.sym_antisym_projectors((0, 1), 2)
-        res = unambiguous_eval(
-            projective_pair(),
-            [p_anti, np.eye(4) / 4],
-            (0.5, 0.5),
-            {"identify-2": 1},
-        )
+        res = unambiguous_eval(projective_pair(), [p_anti, np.eye(4) / 4], (0.5, 0.5))
         assert res.p_success == pytest.approx(3 / 8, abs=1e-12)
         assert res.per_state_success[0] == 0.0
         assert res.per_state_success[1] == pytest.approx(3 / 4, abs=1e-12)
@@ -167,28 +162,28 @@ class TestUnambiguousEval:
         assert res.failure_prob == pytest.approx(5 / 8, abs=1e-12)
         assert res.p_success + res.failure_prob == pytest.approx(1.0, abs=1e-10)
 
-    def test_two_unmapped_elements_rejected(self):
-        povm = Povm({"a": np.eye(2) * 0.5, "b": np.eye(2) * 0.25, "c": np.eye(2) * 0.25})
-        with pytest.raises(ValueError):
-            unambiguous_eval(povm, [np.eye(2) / 2] * 2, (0.5, 0.5), {"a": 0})
+    def test_unknown_labels_rejected(self):
+        povm = Povm({"a": np.eye(2) * 0.5, "b": np.eye(2) * 0.25, "fail": np.eye(2) * 0.25})
+        with pytest.raises(ValueError, match="unknown POVM labels"):
+            unambiguous_eval(povm, [np.eye(2) / 2] * 2, (0.5, 0.5))
 
-    def test_unknown_mapping_label_rejected(self):
-        with pytest.raises(ValueError):
-            unambiguous_eval(
-                projective_pair(), [np.eye(4) / 4] * 2, (0.5, 0.5), {"nope": 0}
-            )
+    def test_min_error_povm_rejected(self):
+        _, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        guesses = helstrom(p_anti, np.eye(4) / 4).optimal_projectors
+        with pytest.raises(ValueError, match="not unambiguous"):
+            unambiguous_eval(guesses, [p_anti, np.eye(4) / 4], (0.5, 0.5))
 
-    def test_bad_state_index_rejected(self):
-        with pytest.raises(ValueError):
-            unambiguous_eval(
-                projective_pair(), [np.eye(4) / 4] * 2, (0.5, 0.5), {"identify-2": 5}
-            )
+    def test_state_count_must_match_the_labels(self):
+        # identify-2 names the second hypothesis, so one state leaves it
+        # dangling and a third state could never be identified.
+        mix = np.eye(4) / 4
+        for rhos, priors in (([mix], (1.0,)), ([mix] * 3, (0.4, 0.3, 0.3))):
+            with pytest.raises(ValueError, match="two hypotheses"):
+                unambiguous_eval(projective_pair(), rhos, priors)
 
     def test_bad_priors_rejected(self):
         with pytest.raises(ValueError):
-            unambiguous_eval(
-                projective_pair(), [np.eye(4) / 4] * 2, (0.9, 0.5), {"identify-2": 1}
-            )
+            unambiguous_eval(projective_pair(), [np.eye(4) / 4] * 2, (0.9, 0.5))
 
 
 def one_dim_subspace(vec):
