@@ -32,11 +32,13 @@ product on the operator with the label's wires moved to the front.
 
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
-yields seeded chunks of gate stacks, and apply_boxes puts them on a batch of
-kets or operator columns one wire at a time, so the full 2**n x 2**n W is
-never built. The batch has shape (d, r, m), samples last: every product then
-runs over contiguous rows of m samples instead of over the r = 1 entries of
-a ket. An operator average W x W+ is two such passes, W x and then W (W x)+.
+draws seeded chunks of gate stacks, at most _CHUNK samples at a time for any
+sample count, and apply_boxes puts them on a batch of kets or operator
+columns one wire at a time, so the full 2**n x 2**n W is never built. A
+scenario run draws each chunk once and scores every scenario of the run on
+it. The batch has shape (d, r, m), samples last: every product then runs
+over contiguous rows of m samples instead of over the r = 1 entries of a
+ket. An operator average W x W+ is two such passes, W x and then W (W x)+.
 """
 
 from __future__ import annotations
@@ -292,22 +294,29 @@ def draw_boxes(samples: int, seed, labels):
 
     ``default_rng(seed)`` (seed an int or a SeedSequence) fills one block of
     samples x 4 normals for "U" if it occurs in ``labels``, then one for "V";
-    each normalized row is a unit quaternion. Chunking the blocks into at most
-    _CHUNK samples bounds memory without changing the stream.
+    each normalized row is a unit quaternion. Both blocks are drawn at most
+    _CHUNK samples at a time, so memory stays bounded for any sample count
+    without changing the stream: past one chunk, V reads its block from a
+    second generator on the same seed that first discards the U block, chunk
+    by chunk.
 
     Yields (m, gates) per chunk: gates maps each drawn label to an (m, 2, 2)
     stack of unitaries. m is yielded on its own because an all-idle pattern
     draws nothing.
     """
+    sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     rng = np.random.default_rng(seed)
-    blocks = {box: rng.normal(size=(samples, 4)) for box in ("U", "V") if box in labels}
-    for lo in range(0, samples, _CHUNK):
-        hi = min(lo + _CHUNK, samples)
+    rngs = {box: rng for box in ("U", "V") if box in labels}
+    if len(rngs) == 2 and len(sizes) > 1:
+        rngs["V"] = np.random.default_rng(seed)
+        for m in sizes:
+            rngs["V"].normal(size=(m, 4))
+    for m in sizes:
         gates = {}
-        for box, q in blocks.items():
-            q = q[lo:hi]
+        for box, source in rngs.items():
+            q = source.normal(size=(m, 4))
             gates[box] = _quaternions_to_su2(q / np.linalg.norm(q, axis=1, keepdims=True))
-        yield hi - lo, gates
+        yield m, gates
 
 
 def apply_boxes(batch: np.ndarray, pattern, gates) -> np.ndarray:

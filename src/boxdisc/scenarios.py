@@ -12,10 +12,12 @@ Running a scenario averages the state under both hypotheses with the chosen
 engine, scores the measurement, and optionally cross-checks the figure with
 a per-sample Monte Carlo simulation of the actual experiment.
 
-run_scenario is the only scorer. The auxiliary figures (another input,
-another ancilla, the coin-flip pairwise baseline) are dataclasses.replace
-variants of a shipped scenario; a variant whose id names an auxiliary
-fixture entry is checked against that entry.
+run_scenarios is the only scorer; run_scenario runs a batch of one. A batch
+shares its Monte Carlo draw: each chunk of samples is drawn once and scored
+for every scenario of the batch that uses the same boxes. The auxiliary
+figures (another input, another ancilla, the coin-flip pairwise baseline)
+are dataclasses.replace variants of a shipped scenario; a variant whose id
+names an auxiliary fixture entry is checked against that entry.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
 to the tester, the later ones the boxes under test. All scenarios use equal
@@ -403,49 +405,150 @@ def build_scenario(scenario_id: str) -> Scenario:
     return builder()
 
 
-def _mc_figure(scenario: Scenario, samples: int, seed: int):
-    """Per-sample Monte Carlo estimate of the scenario's analytic figure.
+class _McTally:
+    """Streaming Monte Carlo figure of one scenario, fed one chunk at a time.
 
-    Draws one (box U, box V) pair per sample, runs the actual circuit for
-    both hypotheses with the same boxes, and scores the measurement on the
-    resulting pure states: the prior-weighted success probability in
-    unambiguous mode, the prior-weighted wrong-guess probability otherwise.
-    Each hypothesis's scored elements are summed into one operator, so a
-    sample costs one quadratic form per hypothesis, and a hypothesis nothing
-    scores is not simulated. The variance is accumulated from deviations
-    from the first sample's value, so a constant figure has stderr 0.
+    Runs the actual circuit for both hypotheses with the same boxes and
+    scores the measurement on the resulting pure states: the prior-weighted
+    success probability in unambiguous mode, the prior-weighted wrong-guess
+    probability otherwise. Each hypothesis's scored elements are summed into
+    one operator, so a sample costs one quadratic form per hypothesis, and a
+    hypothesis nothing scores is not simulated. The variance is accumulated
+    from deviations from the first sample's value, so a constant figure has
+    stderr 0.
+    """
+
+    def __init__(self, scenario: Scenario):
+        # Unambiguous mode scores the right guesses, minimum-error the wrong ones.
+        right = scenario.mode == "unambiguous"
+        self.scored = []
+        for i, pattern in enumerate((scenario.pattern1, scenario.pattern2)):
+            labels = [l for l, t in scenario.mapping.items() if (int(t) == i) == right]
+            if labels:
+                elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
+                self.scored.append((pattern, scenario.priors[i] * sum(elements)))
+        self.psi = scenario.state[:, None, None]
+        self.total = self.dev = self.dev_sq = 0.0
+        self.shift = None
+
+    def add(self, m: int, gates) -> None:
+        kets = np.broadcast_to(self.psi, (len(self.psi), 1, m))
+        values = np.zeros(m)
+        for pattern, op in self.scored:
+            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
+            values += np.real(np.sum((out.conj() @ op) * out, axis=1))
+        if self.shift is None:
+            self.shift = values[0]
+        self.total += float(values.sum())
+        self.dev += float((values - self.shift).sum())
+        self.dev_sq += float(((values - self.shift) ** 2).sum())
+
+    def figure(self, samples: int) -> tuple:
+        mean = self.total / samples
+        var = max(self.dev_sq / samples - (self.dev / samples) ** 2, 0.0)
+        return mean, float(np.sqrt(var / samples))
+
+
+def _mc_figures(batch, samples: int, seed) -> list:
+    """Per-sample Monte Carlo estimates of each scenario's analytic figure.
+
+    Draws one (box U, box V) pair per sample and scores every scenario of the
+    batch on it (see _McTally). Scenarios that draw the same boxes form one
+    group, and each chunk of the group's stream is drawn once and scored for
+    every member before the next chunk is drawn. A scenario's stream depends
+    only on the boxes it draws, so its figure is the same in any batch as on
+    its own. Returns one (mean, stderr) per scenario, in batch order.
     """
     if samples <= 0:
         raise ValueError("Monte Carlo needs samples > 0")
-    p1, p2 = scenario.pattern1, scenario.pattern2
-    elements = scenario.povm.elements
-    # Unambiguous mode scores the right guesses, minimum-error the wrong ones.
-    right = scenario.mode == "unambiguous"
-    scored = []
-    for i, pattern in enumerate((p1, p2)):
-        labels = [l for l, t in scenario.mapping.items() if (int(t) == i) == right]
-        if labels:
-            op = scenario.priors[i] * sum(np.asarray(elements[l]) for l in labels)
-            scored.append((pattern, op))
-    psi = scenario.state[:, None, None]
-    total = 0.0
-    shift = None
-    dev = 0.0
-    dev_sq = 0.0
-    for m, gates in haar.draw_boxes(samples, seed, p1.labels + p2.labels):
-        kets = np.broadcast_to(psi, (len(psi), 1, m))
-        values = np.zeros(m)
-        for pattern, op in scored:
-            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
-            values += np.real(np.sum((out.conj() @ op) * out, axis=1))
-        if shift is None:
-            shift = values[0]
-        total += float(values.sum())
-        dev += float((values - shift).sum())
-        dev_sq += float(((values - shift) ** 2).sum())
-    mean = total / samples
-    var = max(dev_sq / samples - (dev / samples) ** 2, 0.0)
-    return mean, float(np.sqrt(var / samples))
+    tallies = [_McTally(scenario) for scenario in batch]
+    groups = {}
+    for i, scenario in enumerate(batch):
+        labels = scenario.pattern1.labels + scenario.pattern2.labels
+        groups.setdefault(tuple(b for b in "UV" if b in labels), []).append(i)
+    for boxes, members in groups.items():
+        for m, gates in haar.draw_boxes(samples, seed, boxes):
+            for i in members:
+                tallies[i].add(m, gates)
+    return [tally.figure(samples) for tally in tallies]
+
+
+def run_scenarios(
+    batch,
+    method: str = "design",
+    mc_samples: int = 0,
+    seed: int = 0,
+    *,
+    nodes: int = haar.DEFAULT_NODES,
+) -> list:
+    """Average, score, and compare each scenario against its reference value.
+
+    method selects the deterministic engine for the analytic figure
+    ("design" or "quadrature"); "monte_carlo" keeps the design engine for
+    the analytic number and requires mc_samples > 0 for the sampled
+    cross-check. mc_samples > 0 adds the cross-check under any method, one
+    _mc_figures call for the whole batch, so the batch shares one draw per
+    chunk. The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call
+    time; the POVM's validity was settled when the scenario was built.
+    Returns one ScenarioResult per scenario, in batch order.
+    """
+    if method not in ("design", "quadrature", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "monte_carlo" and mc_samples <= 0:
+        raise ValueError("method 'monte_carlo' requires mc_samples > 0")
+    batch = tuple(batch)
+    if mc_samples > 0:
+        figures = _mc_figures(batch, mc_samples, seed)
+    else:
+        figures = [(None, None)] * len(batch)
+    analytic_method = "quadrature" if method == "quadrature" else "design"
+    results = []
+    for scenario, (mc_estimate, mc_stderr) in zip(batch, figures):
+        r1 = haar.average_pattern(scenario.state, scenario.pattern1, analytic_method, nodes=nodes)
+        r2 = haar.average_pattern(scenario.state, scenario.pattern2, analytic_method, nodes=nodes)
+        metadata = dict(scenario.metadata)
+        if scenario.mode == "unambiguous":
+            ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho], scenario.priors)
+            analytic = ev.p_success
+            cross_talk = ev.cross_talk
+            metadata["failure_prob"] = ev.failure_prob
+            metadata["per_state_success"] = list(ev.per_state_success)
+        else:
+            best = helstrom(r1.rho, r2.rho, *scenario.priors)
+            analytic = best.p_error
+            cross_talk = None
+            probs1 = outcome_probs(scenario.povm, r1.rho)
+            probs2 = outcome_probs(scenario.povm, r2.rho)
+            povm_error = sum(
+                scenario.priors[i] * sum(
+                    p[l] for l, t in scenario.mapping.items() if int(t) != i
+                )
+                for i, p in enumerate((probs1, probs2))
+            )
+            metadata["povm_error"] = float(povm_error)
+        passed = scenario.povm_report.valid and abs(analytic - scenario.paper_value) <= PASS_TOL
+        if scenario.mode == "unambiguous":
+            passed = passed and cross_talk <= CROSS_TALK_TOL
+        else:
+            passed = passed and abs(metadata["povm_error"] - analytic) <= PASS_TOL
+        if mc_estimate is not None:
+            passed = passed and abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr
+        results.append(
+            ScenarioResult(
+                scenario_id=scenario.id,
+                mode=scenario.mode,
+                method=method,
+                analytic=float(analytic),
+                paper_value=scenario.paper_value,
+                mc_estimate=mc_estimate,
+                mc_stderr=mc_stderr,
+                cross_talk=cross_talk,
+                passed=bool(passed),
+                citation=scenario.citation,
+                metadata=metadata,
+            )
+        )
+    return results
 
 
 def run_scenario(
@@ -456,65 +559,8 @@ def run_scenario(
     *,
     nodes: int = haar.DEFAULT_NODES,
 ) -> ScenarioResult:
-    """Average, score, and compare one scenario against its reference value.
-
-    method selects the deterministic engine for the analytic figure
-    ("design" or "quadrature"); "monte_carlo" keeps the design engine for
-    the analytic number and requires mc_samples > 0 for the sampled
-    cross-check. mc_samples > 0 adds the cross-check under any method.
-    The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time;
-    the POVM's validity was settled when the scenario was built.
-    """
-    if method not in ("design", "quadrature", "monte_carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "monte_carlo" and mc_samples <= 0:
-        raise ValueError("method 'monte_carlo' requires mc_samples > 0")
-    analytic_method = "quadrature" if method == "quadrature" else "design"
-    r1 = haar.average_pattern(scenario.state, scenario.pattern1, analytic_method, nodes=nodes)
-    r2 = haar.average_pattern(scenario.state, scenario.pattern2, analytic_method, nodes=nodes)
-    metadata = dict(scenario.metadata)
-    if scenario.mode == "unambiguous":
-        ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho], scenario.priors)
-        analytic = ev.p_success
-        cross_talk = ev.cross_talk
-        metadata["failure_prob"] = ev.failure_prob
-        metadata["per_state_success"] = list(ev.per_state_success)
-    else:
-        best = helstrom(r1.rho, r2.rho, *scenario.priors)
-        analytic = best.p_error
-        cross_talk = None
-        probs1 = outcome_probs(scenario.povm, r1.rho)
-        probs2 = outcome_probs(scenario.povm, r2.rho)
-        povm_error = sum(
-            scenario.priors[i] * sum(
-                p[l] for l, t in scenario.mapping.items() if int(t) != i
-            )
-            for i, p in enumerate((probs1, probs2))
-        )
-        metadata["povm_error"] = float(povm_error)
-    mc_estimate = mc_stderr = None
-    if mc_samples > 0:
-        mc_estimate, mc_stderr = _mc_figure(scenario, mc_samples, seed)
-    passed = scenario.povm_report.valid and abs(analytic - scenario.paper_value) <= PASS_TOL
-    if scenario.mode == "unambiguous":
-        passed = passed and cross_talk <= CROSS_TALK_TOL
-    else:
-        passed = passed and abs(metadata["povm_error"] - analytic) <= PASS_TOL
-    if mc_estimate is not None:
-        passed = passed and abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr
-    return ScenarioResult(
-        scenario_id=scenario.id,
-        mode=scenario.mode,
-        method=method,
-        analytic=float(analytic),
-        paper_value=scenario.paper_value,
-        mc_estimate=mc_estimate,
-        mc_stderr=mc_stderr,
-        cross_talk=cross_talk,
-        passed=bool(passed),
-        citation=scenario.citation,
-        metadata=metadata,
-    )
+    """run_scenarios on a batch of one scenario; see there."""
+    return run_scenarios((scenario,), method, mc_samples, seed, nodes=nodes)[0]
 
 
 @dataclass(frozen=True)

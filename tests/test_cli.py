@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxdisc import cli, scenarios
+from boxdisc import cli, haar, scenarios
 from boxdisc.cli import execute, main, render_csv, render_json, render_table
 from boxdisc.scenarios import SCENARIO_IDS
 
@@ -154,6 +154,34 @@ class TestRunOutputs:
         assert out1 == out2
         assert out1.splitlines()[1].split(",")[5] != ""
 
+    @pytest.mark.parametrize("seed", ("1", "99"))
+    def test_monte_carlo_line_does_not_depend_on_batchmates(self, capsys, seed):
+        argv = ("--method", "monte_carlo", "--samples", "3000", "--seed", seed)
+        argv += ("--format", "json")
+
+        def json_lines(*select):
+            _, out, _ = run_main(capsys, *select, *argv)
+            return [line.rstrip(",") for line in out.splitlines()[1:-1]]
+
+        together = json_lines("--all")
+        assert len(together) == len(SCENARIO_IDS)
+        for sid, line in zip(SCENARIO_IDS, together):
+            assert json_lines("--scenario", sid) == [line]
+
+    def test_monte_carlo_run_draws_once_per_box_group(self, capsys, monkeypatch):
+        calls = []
+        draw = haar.draw_boxes
+
+        def counting_draw(samples, seed, labels):
+            calls.append(tuple(labels))
+            return draw(samples, seed, labels)
+
+        monkeypatch.setattr(haar, "draw_boxes", counting_draw)
+        code, _, _ = run_main(
+            capsys, "--all", "--method", "monte_carlo", "--samples", "5000", "--seed", "7"
+        )
+        assert code == 0 and calls == [("U", "V")]
+
 
 class TestConfigObject:
     """``execute`` called directly with its run configuration."""
@@ -170,17 +198,17 @@ class TestConfigObject:
 
     def test_repeated_id_runs_once(self, monkeypatch):
         ran = []
-        run = scenarios.run_scenario
+        run = scenarios.run_scenarios
 
-        def counting_run(scenario, *args, **kwargs):
-            ran.append(scenario.id)
-            return run(scenario, *args, **kwargs)
+        def counting_run(batch, *args, **kwargs):
+            ran.append([scenario.id for scenario in batch])
+            return run(batch, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "run_scenario", counting_run)
+        monkeypatch.setattr(scenarios, "run_scenarios", counting_run)
         ids = ["one-ref-unambiguous", "one-ref-minerror", "one-ref-unambiguous"]
         records, ok = execute(ids)
-        assert ran == ["one-ref-minerror", "one-ref-unambiguous"]
-        assert [rec["scenario"] for rec in records] == ran and ok
+        assert ran == [["one-ref-minerror", "one-ref-unambiguous"]]
+        assert [rec["scenario"] for rec in records] == ran[0] and ok
 
     def test_execute_builds_through_the_module_attribute(self, monkeypatch):
         built = []

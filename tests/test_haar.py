@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,7 +330,7 @@ def _apply_boxes_samples_first(batch, pattern, gates):
 
 
 def _mc_figure_samples_first(scenario, samples, seed):
-    """scenarios._mc_figure scored on sample-first batches of kets."""
+    """One scenario's scenarios._mc_figures scored on sample-first batches of kets."""
     right = scenario.mode == "unambiguous"
     scored = []
     for i, pattern in enumerate((scenario.pattern1, scenario.pattern2)):
@@ -413,7 +415,7 @@ class TestMonteCarloKernel:
     def test_mc_figure_matches_samples_first_scorer_bits(self, sid):
         scenario = scenarios.build_scenario(sid)
         for samples, seed in ((1, 1), (5000, 7)):
-            assert scenarios._mc_figure(scenario, samples, seed) == (
+            assert scenarios._mc_figures((scenario,), samples, seed)[0] == (
                 _mc_figure_samples_first(scenario, samples, seed)
             )
 
@@ -425,6 +427,20 @@ class TestMonteCarloKernel:
         for box in ("U", "V"):
             joined = np.concatenate([g[box] for _, g in chunks])
             assert np.array_equal(joined, whole[0][1][box])
+
+    def test_draw_memory_does_not_grow_with_samples(self):
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                for _ in haar.draw_boxes(chunks * haar._CHUNK, 4, "UV"):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        # Holding whole blocks of normals would cost 64 B per sample on top.
+        assert peak(64) <= 1.25 * peak(4)
 
 
 class TestTwirlIdentitySuite:

@@ -8,7 +8,7 @@ from boxdisc.discrimination import Povm, helstrom, validate_povm
 from boxdisc.scenarios import (
     SCENARIO_IDS,
     Scenario,
-    _mc_figure,
+    _mc_figures,
     auxiliary_value,
     build_scenario,
     equivalence_witness_order_refs,
@@ -379,7 +379,7 @@ class TestMonteCarlo:
     )
     def test_figure_matches_explicit_kron_per_element(self, sid):
         scenario = build_scenario(sid)
-        mean, stderr = _mc_figure(scenario, 37, 5)
+        ((mean, stderr),) = _mc_figures((scenario,), 37, 5)
         ref_mean, ref_stderr = _mc_figure_reference(scenario, 37, 5)
         assert abs(mean - ref_mean) <= 1e-12 and abs(stderr - ref_stderr) <= 1e-12
 
@@ -389,7 +389,17 @@ class TestMonteCarlo:
         for text, bound in (("II", 0.0), ("UU", 1e-14)):
             pattern = haar.as_pattern(text)
             fixed = dataclasses.replace(scenario, pattern1=pattern, pattern2=pattern)
-            assert _mc_figure(fixed, samples, 3)[1] <= bound
+            assert _mc_figures((fixed,), samples, 3)[0][1] <= bound
+
+    @pytest.mark.parametrize("samples", (2, 5000, haar._CHUNK))
+    def test_batch_figures_equal_solo_figures(self, samples):
+        base = build_scenario("one-ref-minerror")
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS] + [
+            dataclasses.replace(base, pattern2="UI"),
+            dataclasses.replace(base, pattern1="VV", pattern2="VI"),
+        ]
+        together = _mc_figures(batch, samples, 13)
+        assert together == [_mc_figures((s,), samples, 13)[0] for s in batch]
 
 
 def _mc_figure_reference(scenario, samples, seed):
