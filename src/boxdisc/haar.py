@@ -296,9 +296,9 @@ def draw_boxes(samples: int, seed, labels):
     samples x 4 normals for "U" if it occurs in ``labels``, then one for "V";
     each normalized row is a unit quaternion. Both blocks are drawn at most
     _CHUNK samples at a time, so memory stays bounded for any sample count
-    without changing the stream: past one chunk, V reads its block from a
-    second generator on the same seed that first discards the U block, chunk
-    by chunk.
+    without changing the stream: when both boxes are drawn, V reads its block
+    from a second generator on the same seed that first discards the U block,
+    chunk by chunk.
 
     Yields (m, gates) per chunk: gates maps each drawn label to an (m, 2, 2)
     stack of unitaries. m is yielded on its own because an all-idle pattern
@@ -307,7 +307,7 @@ def draw_boxes(samples: int, seed, labels):
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     rng = np.random.default_rng(seed)
     rngs = {box: rng for box in ("U", "V") if box in labels}
-    if len(rngs) == 2 and len(sizes) > 1:
+    if len(rngs) == 2:
         rngs["V"] = np.random.default_rng(seed)
         for m in sizes:
             rngs["V"].normal(size=(m, 4))
