@@ -4,7 +4,8 @@ Each scenario fixes a test state, the two box patterns it must tell apart
 and a measurement with decision labels. The labels (identify-k, guess-k,
 fail; their table lives next to Povm in discrimination) fix the decision
 mode and the hypothesis each outcome names, and the id fixes the reference
-success (or error) probability the implementation has to reproduce.
+success (or error) probability the implementation has to reproduce. These
+five choices are all a Scenario is built from; the rest is derived.
 Scenario construction is pure, so build_scenario builds each scenario once
 per process and hands out the same frozen object afterwards: its arrays and
 mappings are read-only, and its POVM is validated once, at construction.
@@ -69,38 +70,22 @@ def load_reference_values() -> dict:
     return json.loads(_reference_text())
 
 
-def reference_value(name: str) -> float:
-    """Fixture value of a scenario id or of an auxiliary entry.
+def _fixture_entry(name: str) -> dict:
+    """Fixture entry of a scenario id or of an auxiliary name.
 
     The two tables share no key, so a variant whose id names an auxiliary
     entry is checked against that figure.
     """
     fixture = load_reference_values()
-    return float({**fixture["scenario_values"], **fixture["auxiliary"]}[name]["value"])
+    return {**fixture["scenario_values"], **fixture["auxiliary"]}[name]
+
+
+def reference_value(name: str) -> float:
+    return float(_fixture_entry(name)["value"])
 
 
 def reference_citation(name: str) -> str:
-    fixture = load_reference_values()
-    return str({**fixture["scenario_values"], **fixture["auxiliary"]}[name]["citation"])
-
-
-def auxiliary_value(name: str):
-    return load_reference_values()["auxiliary"][name]["value"]
-
-
-@dataclass(frozen=True)
-class PermutationWitness:
-    """Wire permutation plus box relabel mapping one scenario onto another.
-
-    Permuting the register by ``permutation`` carries hypothesis one of the
-    source onto one hypothesis of the target scenario; applying ``relabel``
-    to the box names as well carries hypothesis two onto the other. See
-    equivalence_witness_order_refs for the entrywise check.
-    """
-
-    target_id: str
-    permutation: tuple
-    relabel: dict
+    return str(_fixture_entry(name)["citation"])
 
 
 def _read_only(a) -> np.ndarray:
@@ -114,17 +99,17 @@ def _read_only(a) -> np.ndarray:
 class Scenario:
     """Frozen description of one discrimination task.
 
-    The init fields are what a task chooses; the rest is derived at
+    The five init fields are what a task chooses: its id, the input state,
+    the two box patterns and the measurement. The rest is derived at
     construction. paper_value and citation are the fixture entry for id, a
     scenario id or an auxiliary name; mode and mapping follow from the POVM
     labels (see Povm.decision); priors are equal for every task.
     Construction also freezes the scenario: patterns become BoxPatterns, the
-    state and POVM elements read-only array copies, the element table,
-    mapping and metadata read-only mappings, and povm_report keeps
-    validate_povm's report. dataclasses.replace goes
-    through the same steps, so a variant carries the mode, mapping and
-    report of its own POVM. Equality is identity, like the per-process
-    cache of build_scenario.
+    state and POVM elements read-only array copies, the element table and
+    mapping read-only mappings, and povm_report keeps validate_povm's
+    report. dataclasses.replace goes through the same steps, so a variant
+    carries the mode, mapping and report of its own POVM. Equality is
+    identity, like the per-process cache of build_scenario.
     """
 
     priors: ClassVar[tuple] = (0.5, 0.5)
@@ -134,8 +119,6 @@ class Scenario:
     pattern1: BoxPattern
     pattern2: BoxPattern
     povm: Povm
-    metadata: dict = field(default_factory=dict)
-    witness: PermutationWitness | None = None
     mode: str = field(init=False)  # "unambiguous" or "min_error"
     mapping: dict = field(init=False)
     paper_value: float = field(init=False)
@@ -150,7 +133,6 @@ class Scenario:
         object.__setattr__(self, "pattern1", as_pattern(self.pattern1))
         object.__setattr__(self, "pattern2", as_pattern(self.pattern2))
         object.__setattr__(self, "povm", povm)
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "mapping", MappingProxyType(mapping))
         object.__setattr__(self, "paper_value", reference_value(self.id))
@@ -249,7 +231,6 @@ def _build_two_ref_singlet() -> Scenario:
         pattern1="UVU",
         pattern2="UVV",
         povm=Povm({"identify-2": p_sym, "fail": p_anti}),
-        metadata={"ancilla": "free choice, outcome independent of it"},
     )
 
 
@@ -289,7 +270,6 @@ def _build_4q_pairwise() -> Scenario:
         pattern1="UVUI",
         pattern2="UVVI",
         povm=_with_fail({"identify-1": sym_12 @ flag["1"], "identify-2": sym_02 @ flag["0"]}),
-        metadata={"normalization_factor": states.four_qubit_norm_factor()},
     )
 
 
@@ -297,21 +277,15 @@ def _build_4q_subspace() -> Scenario:
     psi = states.four_qubit_test_state()
     rho1 = haar.average_pattern(psi, "UVUI").rho
     rho2 = haar.average_pattern(psi, "UVVI").rho
+    # The reference value is the derived exact optimum 3/8. The published
+    # estimate overshoots it and is kept apart, as the auxiliary entry
+    # subspace-published-estimate.
     return Scenario(
         id="two-ref-4q-subspace",
         state=psi,
         pattern1="UVUI",
         pattern2="UVVI",
         povm=unambiguous_subspace_povm(linalg.range_basis(rho1), linalg.range_basis(rho2)),
-        metadata={
-            "normalization_factor": states.four_qubit_norm_factor(),
-            "published_estimate": float(auxiliary_value("subspace-published-estimate")),
-            "published_tolerance": 0.005,
-            "note": (
-                "reference value is the derived exact optimum; the published "
-                "estimate overshoots it and is tracked separately"
-            ),
-        },
     )
 
 
@@ -331,23 +305,14 @@ def _build_pair_same(mode: str) -> Scenario:
 def _build_order_two_u() -> Scenario:
     sym_02, anti_02 = states.sym_antisym_projectors((0, 2), 4)
     sym_13, anti_13 = states.sym_antisym_projectors((1, 3), 4)
+    # Moving the tested wires to the front maps this task onto the
+    # same-or-different test; see equivalence_witness_order_refs.
     return Scenario(
         id="order-two-u-refs",
         state=states.double_singlet(),
         pattern1="UUUV",
         pattern2="UUVU",
         povm=_with_fail({"identify-1": anti_02 @ sym_13, "identify-2": sym_02 @ anti_13}),
-        witness=PermutationWitness(
-            target_id="pair-same-unambiguous",
-            permutation=(2, 3, 0, 1),
-            relabel={"U": "V", "V": "U"},
-        ),
-        metadata={
-            "note": (
-                "moving the tested wires to the front maps this task onto the "
-                "same-or-different test; see equivalence_witness_order_refs"
-            )
-        },
     )
 
 
@@ -372,7 +337,6 @@ def _build_order_uv() -> Scenario:
         pattern1="UVUV",
         pattern2="UVVU",
         povm=_with_fail({"identify-2": e2}),
-        metadata={"note": "the aligned hypothesis is never identified"},
     )
 
 
@@ -506,7 +470,7 @@ def run_scenarios(
     for scenario, (mc_estimate, mc_stderr) in zip(batch, figures):
         r1 = haar.average_pattern(scenario.state, scenario.pattern1, analytic_method, nodes=nodes)
         r2 = haar.average_pattern(scenario.state, scenario.pattern2, analytic_method, nodes=nodes)
-        metadata = dict(scenario.metadata)
+        metadata = {}
         if scenario.mode == "unambiguous":
             ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho], scenario.priors)
             analytic = ev.p_success
@@ -576,16 +540,17 @@ class WitnessReport:
 
 
 def equivalence_witness_order_refs() -> WitnessReport:
-    """Verify the reduction recorded on the order-two-u-refs scenario.
+    """Verify that order-two-u-refs reduces to pair-same-unambiguous.
 
-    Moving the tested wires to the front of the register maps hypothesis one
-    of the order task onto the aligned same/different hypothesis, and after
-    additionally swapping the box names it maps hypothesis two onto the other
-    one. The check compares the averaged states entrywise.
+    Moving the tested wires to the front of the register (the permutation
+    (2, 3, 0, 1)) maps hypothesis one of the order task onto the aligned
+    same/different hypothesis, and after additionally swapping the box names
+    it maps hypothesis two onto the other one. The check compares the
+    averaged states entrywise.
     """
+    perm = (2, 3, 0, 1)
     source = build_scenario("order-two-u-refs")
-    target = build_scenario(source.witness.target_id)
-    perm = source.witness.permutation
+    target = build_scenario("pair-same-unambiguous")
     s1 = haar.average_pattern(source.state, source.pattern1).rho
     s2 = haar.average_pattern(source.state, source.pattern2).rho
     t1 = haar.average_pattern(target.state, target.pattern1).rho
@@ -597,8 +562,8 @@ def equivalence_witness_order_refs() -> WitnessReport:
     dev2 = float(np.max(np.abs(linalg.permute_qubits(s2, perm) - t1)))
     worst = max(dev1, dev2)
     return WitnessReport(
-        permutation=tuple(perm),
-        relabel=dict(source.witness.relabel),
+        permutation=perm,
+        relabel={"U": "V", "V": "U"},
         deviations=(dev1, dev2),
         max_deviation=worst,
         tolerance=WITNESS_TOL,

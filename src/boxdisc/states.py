@@ -134,35 +134,16 @@ def sym_antisym_projectors(pair, n: int = 2):
     return p_sym, p_anti
 
 
-def _four_qubit_raw() -> np.ndarray:
-    # Wires (A, B, C, D) = (0, 1, 2, 3). Branch one: singlet on AC, B=|0>,
-    # D=|0>; branch two: singlet on BC, A=|0>, D=|1>. The branches share no
-    # basis state, so the 1/sqrt(2) prefactor already normalizes the sum.
-    b0 = np.kron(bell("psi-"), ket("00"))  # order (A, C, B, D)
-    b0 = linalg.permute_qubits(b0, (0, 2, 1, 3))
-    b1 = np.kron(bell("psi-"), ket("01"))  # order (B, C, A, D)
-    b1 = linalg.permute_qubits(b1, (2, 0, 1, 3))
-    return (b0 + b1) / np.sqrt(2.0)
-
-
 def four_qubit_test_state() -> np.ndarray:
     """Four-wire input that tags which pair holds a singlet on wire D.
 
-    Equals (|0010> - |1000> + |0011> - |0101>)/2 in the (A, B, C, D) basis.
+    In the (A, B, C, D) basis: a singlet on AC with B = D = |0>, plus a
+    singlet on BC with A = |0> and D = |1>, over sqrt 2. The two branches
+    share no basis state, so the amplitudes are exactly +-1/2.
     """
-    raw = _four_qubit_raw()
-    psi = raw / np.linalg.norm(raw)
+    psi = (ket("0010") - ket("1000") + ket("0011") - ket("0101")) / 2
     assert_normalized(psi)
     return psi
-
-
-def four_qubit_norm_factor() -> float:
-    """Norm of the raw two-branch superposition before rescaling.
-
-    The branches are orthogonal, so this is exactly 1; it is recorded in run
-    metadata rather than assumed.
-    """
-    return float(np.linalg.norm(_four_qubit_raw()))
 
 
 def approx_double_singlet_3q() -> np.ndarray:

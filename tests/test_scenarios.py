@@ -9,7 +9,6 @@ from boxdisc.scenarios import (
     SCENARIO_IDS,
     Scenario,
     _mc_figures,
-    auxiliary_value,
     build_scenario,
     equivalence_witness_order_refs,
     random_pairwise_baseline,
@@ -53,6 +52,56 @@ EXPECTED_DECISIONS = {
 }
 
 
+def _three_wire_block_eigenvalues() -> list:
+    """Magnitudes of the nonzero eigenvalues of both 3x3 blocks of (rho1 - rho2)/2."""
+    scenario = build_scenario("two-ref-minerror-3q")
+    r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
+    r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
+    diff = 0.5 * (r1 - r2)
+    magnitudes = []
+    for idx in ((2, 4, 1), (5, 3, 6)):
+        ev = np.linalg.eigvalsh(diff[np.ix_(idx, idx)])
+        magnitudes += [-ev[0], ev[-1]]
+    return magnitudes
+
+
+def _subspace_jordan_cosines() -> list:
+    """Principal cosines of the supports of the two averaged subspace states."""
+    scenario = build_scenario("two-ref-4q-subspace")
+    r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
+    r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
+    pairs = discrimination.jordan_bases(linalg.range_basis(r1), linalg.range_basis(r2))
+    return [c for _, _, c in pairs]
+
+
+def _subspace_pair_weight() -> np.ndarray:
+    """The eigenvalue of multiplicity two of the shipped identify-1 element."""
+    e1 = build_scenario("two-ref-4q-subspace").povm.elements["identify-1"]
+    lam = np.linalg.eigvalsh(e1)
+    _, inverse, counts = np.unique(
+        np.round(lam, 9) + 0.0, return_inverse=True, return_counts=True
+    )
+    (pair,) = np.flatnonzero(counts == 2)
+    return lam[inverse == pair]
+
+
+#: Auxiliary fixture entry -> the quantity it claims, computed afresh.
+AUXILIARY_CLAIMS = {
+    "one-ref-failure-prob": lambda: run_scenario(
+        build_scenario("one-ref-unambiguous")
+    ).metadata["failure_prob"],
+    "one-ref-symmetric-variant": lambda: symmetric_variant_success().analytic,
+    "random-pairwise-baseline": lambda: random_pairwise_baseline().analytic,
+    "order-uv-identify-rate": lambda: run_scenario(
+        build_scenario("order-uv-refs")
+    ).metadata["per_state_success"][1],
+    "three-wire-block-eigenvalue": _three_wire_block_eigenvalues,
+    "subspace-jordan-cosines": _subspace_jordan_cosines,
+    "subspace-pair-weight": _subspace_pair_weight,
+    "clifford-order": lambda: len(haar.clifford_group()),
+}
+
+
 class TestCatalog:
     def test_all_ids_present_and_sorted(self):
         assert SCENARIO_IDS == EXPECTED_IDS
@@ -66,6 +115,16 @@ class TestCatalog:
         # A variant's id looks its reference up in both tables at once.
         fixture = scenarios.load_reference_values()
         assert not set(fixture["scenario_values"]) & set(fixture["auxiliary"])
+
+    def test_every_auxiliary_entry_is_bound(self):
+        # A reference value nobody reads is a claim nobody checks. The
+        # published estimate is read by the strict expected failures.
+        auxiliary = scenarios.load_reference_values()["auxiliary"]
+        assert set(auxiliary) - set(AUXILIARY_CLAIMS) == {"subspace-published-estimate"}
+        for name, claim in AUXILIARY_CLAIMS.items():
+            np.testing.assert_allclose(
+                claim(), auxiliary[name]["value"], rtol=0, atol=1e-12, err_msg=name
+            )
 
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_stored_povm_is_valid(self, sid):
@@ -92,7 +151,7 @@ class TestCatalog:
         for array in (scenario.state, *scenario.povm.elements.values()):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        for mapping in (scenario.povm.elements, scenario.mapping, scenario.metadata):
+        for mapping in (scenario.povm.elements, scenario.mapping):
             with pytest.raises(TypeError):
                 mapping["extra"] = 0
 
@@ -138,9 +197,7 @@ class TestDerivedFields:
     def test_derived_fields_are_not_init_arguments(self):
         scenario = build_scenario("one-ref-minerror")
         given = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(Scenario) if f.init}
-        assert sorted(given) == [
-            "id", "metadata", "pattern1", "pattern2", "povm", "state", "witness"
-        ]
+        assert sorted(given) == ["id", "pattern1", "pattern2", "povm", "state"]
         assert Scenario(**given).mode == "min_error"
         for name in ("mode", "mapping", "paper_value", "citation", "priors"):
             with pytest.raises(TypeError):
@@ -236,7 +293,7 @@ class TestAnalyticRuns:
     def test_one_ref_failure_probability(self):
         res = run_scenario(build_scenario("one-ref-unambiguous"))
         assert res.metadata["failure_prob"] == pytest.approx(
-            auxiliary_value("one-ref-failure-prob"), abs=1e-9
+            reference_value("one-ref-failure-prob"), abs=1e-9
         )
 
     def test_pass_tolerance_override_can_fail_a_run(self, monkeypatch):
@@ -282,19 +339,26 @@ class TestPermutationWitness:
         assert report.max_deviation <= 1e-10
         assert len(report.deviations) == 2
 
-    def test_witness_metadata_on_scenario(self):
-        scenario = build_scenario("order-two-u-refs")
-        assert scenario.witness is not None
-        assert scenario.witness.target_id == "pair-same-unambiguous"
-        assert scenario.witness.permutation == (2, 3, 0, 1)
-        assert scenario.witness.relabel == {"U": "V", "V": "U"}
+    def test_witness_names_target_permutation_and_relabel(self, monkeypatch):
+        built = []
+        build = scenarios.build_scenario
+
+        def recording_build(sid):
+            built.append(sid)
+            return build(sid)
+
+        monkeypatch.setattr(scenarios, "build_scenario", recording_build)
+        report = equivalence_witness_order_refs()
+        assert built == ["order-two-u-refs", "pair-same-unambiguous"]
+        assert report.permutation == (2, 3, 0, 1)
+        assert report.relabel == {"U": "V", "V": "U"}
 
 
 class TestVariants:
     def test_symmetric_input_variant(self):
         res = symmetric_variant_success()
         assert res.analytic == pytest.approx(
-            auxiliary_value("one-ref-symmetric-variant"), abs=1e-9
+            reference_value("one-ref-symmetric-variant"), abs=1e-9
         )
         assert res.cross_talk <= 1e-12 and res.passed
         assert res.citation == scenarios.reference_citation("one-ref-symmetric-variant")
@@ -338,7 +402,7 @@ class TestVariants:
     def test_random_guess_baseline_below_pairwise(self):
         baseline = random_pairwise_baseline()
         assert baseline.analytic == pytest.approx(
-            auxiliary_value("random-pairwise-baseline"), abs=1e-12
+            reference_value("random-pairwise-baseline"), abs=1e-12
         )
         assert baseline.passed
         pairwise = run_scenario(build_scenario("two-ref-4q-pairwise")).analytic
@@ -435,10 +499,11 @@ class TestSubspaceVersusPairwise:
     def test_subspace_strategy_matches_its_frozen_value(self):
         res = run_scenario(build_scenario("two-ref-4q-subspace"))
         assert res.analytic == pytest.approx(3 / 8, abs=1e-9)
-        assert res.metadata["published_estimate"] == pytest.approx(0.43)
+        assert reference_value("subspace-published-estimate") == pytest.approx(0.43)
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the published estimate near 0.43 is not reproducible; the"
         " optimal unambiguous value for these supports equals the pairwise 3/8",
     )

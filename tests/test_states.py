@@ -135,10 +135,7 @@ class TestFourQubitTestState:
         expected[int("1000", 2)] = -0.5
         expected[int("0011", 2)] = 0.5
         expected[int("0101", 2)] = -0.5
-        assert np.max(np.abs(psi - expected)) <= 1e-12
-
-    def test_norm_factor_is_one(self):
-        assert states.four_qubit_norm_factor() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(psi, expected)
 
 
 class TestApproxDoubleSinglet:
