@@ -2,11 +2,12 @@
 
 Covers both figures of merit used throughout the package: the minimum-error
 probability (optimal two-outcome measurement read off the eigenspaces of the
-weighted state difference) and unambiguous discrimination, where wrong
+halved state difference) and unambiguous discrimination, where wrong
 identifications are forbidden and an explicit failure outcome absorbs the
 rest. For states given only through their supports, the two-subspace
 construction pairs up principal directions and pushes each identification
-weight to the positivity boundary of the failure element.
+weight to the positivity boundary of the failure element. Both hypotheses
+always carry prior 1/2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import haar, linalg, states
+from . import linalg
 from .linalg import Subspace
 
 __all__ = [
@@ -24,12 +25,11 @@ __all__ = [
     "PovmReport",
     "MinErrorResult",
     "UnambiguousResult",
-    "WeightScanRow",
     "Subspace",
     "validate_povm",
+    "with_fail",
     "outcome_probs",
     "helstrom",
-    "singlet_weight_scan",
     "unambiguous_eval",
     "jordan_bases",
     "unambiguous_subspace_povm",
@@ -92,6 +92,22 @@ class Povm:
         mapping = {l: _LABELS[l][1] for l in self.labels if _LABELS[l][1] is not None}
         return modes.pop(), mapping
 
+    @property
+    def scored(self) -> tuple:
+        """Labels whose probability on hypothesis i counts toward the figure.
+
+        scored[i] lists, in label order, hypothesis i's own identifications
+        in unambiguous mode (the figure is the success probability) and the
+        guesses that name the other hypothesis in minimum-error mode (the
+        figure is the error probability). Each hypothesis carries prior 1/2.
+        """
+        mode, mapping = self.decision
+        right = mode == "unambiguous"
+        return tuple(
+            tuple(label for label, named in mapping.items() if (named == i) == right)
+            for i in (0, 1)
+        )
+
 
 @dataclass(frozen=True)
 class PovmReport:
@@ -144,9 +160,9 @@ def outcome_probs(povm: Povm, rho: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class MinErrorResult:
-    """Minimum-error discrimination data for a weighted state pair.
+    """Minimum-error discrimination data for an equal-prior state pair.
 
-    eigenvalues are those of p1*rho1 - p2*rho2 in descending order;
+    eigenvalues are those of rho1/2 - rho2/2 in descending order;
     optimal_projectors is the two-outcome measurement ("guess-1"/"guess-2")
     that attains p_error.
     """
@@ -156,73 +172,28 @@ class MinErrorResult:
     optimal_projectors: Povm
 
 
-def helstrom(
-    rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5
-) -> MinErrorResult:
+def helstrom(rho1: np.ndarray, rho2: np.ndarray) -> MinErrorResult:
     """Minimum error probability (1 - sum |eigenvalues|) / 2 and its measurement.
 
-    Kernel directions of p1*rho1 - p2*rho2 cannot influence the error, so
-    they are assigned to the higher-prior state, and to the first state on an
-    exact prior tie.
+    Kernel directions of rho1/2 - rho2/2 cannot influence the error, so they
+    are assigned to the first state.
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
-        raise ValueError(f"priors ({p1}, {p2}) must be nonnegative and sum to 1")
-    spec = linalg.herm_eig(p1 * rho1 - p2 * rho2)
+    spec = linalg.herm_eig(0.5 * rho1 - 0.5 * rho2)
     lam = spec.eigenvalues
     p_error = 0.5 * (1.0 - float(np.sum(np.abs(lam))))
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     cut = 1e-12 * max(1.0, scale)
-    positive = lam > cut
     negative = lam < -cut
-    kernel = ~(positive | negative)
-    if p1 >= p2:  # ties go to the first state
-        positive |= kernel
-    else:
-        negative |= kernel
+    positive = ~negative  # the kernel goes to the first state
     v = spec.eigenvectors
     proj1 = v[:, positive] @ v[:, positive].conj().T
     proj2 = v[:, negative] @ v[:, negative].conj().T
     povm = Povm({"guess-1": proj1, "guess-2": proj2})
     return MinErrorResult(p_error, lam, povm)
-
-
-@dataclass(frozen=True)
-class WeightScanRow:
-    """One grid point of singlet_weight_scan."""
-
-    singlet_weight: float
-    trace_norm: float
-    closed_form: float
-    p_error: float
-
-
-def singlet_weight_scan(grid) -> list:
-    """Sweep the singlet fraction of a two-wire test state against noise.
-
-    For each weight w in the grid, builds sqrt(w)|psi-> + sqrt(1-w)|psi+>,
-    averages it under the same box on both wires (exact engine), and compares
-    the trace norm of the difference from the maximally mixed state against
-    the closed form 2|1/4 - w|. Also reports the equal-prior minimum error
-    probability, which is smallest at w = 1: the singlet is the best choice
-    of test state in this family.
-    """
-    rows = []
-    eye4 = np.eye(4, dtype=complex) / 4.0
-    for w in grid:
-        w = float(w)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"singlet weight {w} outside [0, 1]")
-        psi = states.bell_combination(np.sqrt(w), np.sqrt(1.0 - w), 0.0, 0.0)
-        rho1 = haar.average_pattern(psi, "UU").rho
-        delta = rho1 - eye4
-        trace_norm = linalg.abs_eig_sum(delta)
-        p_error = helstrom(rho1, eye4).p_error
-        rows.append(WeightScanRow(w, trace_norm, 2.0 * abs(0.25 - w), p_error))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -233,7 +204,8 @@ class UnambiguousResult:
     own identification outcomes; cross_talk is the largest probability of any
     identification element firing on a state it does not identify, which a
     valid unambiguous measurement keeps at numerical zero; failure_prob is
-    the prior-weighted probability of the inconclusive outcome.
+    the probability of the inconclusive outcome, averaged over the two
+    hypotheses.
     """
 
     p_success: float
@@ -242,38 +214,41 @@ class UnambiguousResult:
     failure_prob: float
 
 
-def unambiguous_eval(povm: Povm, hypothesis_states, priors) -> UnambiguousResult:
-    """Score a POVM as an unambiguous discriminator.
+def unambiguous_eval(povm: Povm, hypothesis_states) -> UnambiguousResult:
+    """Score a POVM as an unambiguous discriminator at equal priors.
 
     The labels fix which hypothesis each identification element names (see
-    Povm.decision); a POVM whose labels are not unambiguous is rejected, and
+    Povm.scored); a POVM whose labels are not unambiguous is rejected, and
     its fail element, if any, is the inconclusive outcome. A state without
     any identification label simply has success probability 0 (some
     strategies can never identify one of the hypotheses).
     """
-    mode, mapping = povm.decision
-    if mode != "unambiguous":
+    if povm.decision[0] != "unambiguous":
         raise ValueError(f"POVM labels {sorted(povm.labels)} are not unambiguous")
     rhos = [np.asarray(r, dtype=complex) for r in hypothesis_states]
-    priors = [float(p) for p in priors]
-    if len(rhos) != 2 or len(priors) != 2:
-        raise ValueError("the labels name two hypotheses: pass two states and two priors")
-    if any(p < 0 for p in priors) or abs(sum(priors) - 1.0) > 1e-12:
-        raise ValueError(f"priors {priors} must be nonnegative and sum to 1")
+    if len(rhos) != 2:
+        raise ValueError("the labels name two hypotheses: pass two states")
 
     probs = [outcome_probs(povm, rho) for rho in rhos]
-    per_state = tuple(
-        sum(p[label] for label, idx in mapping.items() if idx == i)
-        for i, p in enumerate(probs)
+    scored = povm.scored
+    per_state = tuple(sum(p[label] for label in labels) for p, labels in zip(probs, scored))
+    cross = max(
+        (abs(probs[1 - i][label]) for i in (0, 1) for label in scored[i]), default=0.0
     )
-    cross = 0.0
-    for label, idx in mapping.items():
-        for j, p in enumerate(probs):
-            if j != idx:
-                cross = max(cross, abs(p[label]))
-    p_success = float(sum(pr * s for pr, s in zip(priors, per_state)))
-    failure = float(sum(pr * p.get("fail", 0.0) for pr, p in zip(priors, probs)))
+    p_success = float(0.5 * sum(per_state))
+    failure = float(0.5 * sum(p.get("fail", 0.0) for p in probs))
     return UnambiguousResult(p_success, per_state, cross, failure)
+
+
+def with_fail(elements: dict) -> Povm:
+    """Identification elements plus their complement as the fail outcome.
+
+    The elements are subtracted from the identity one by one, in order.
+    """
+    fail = np.eye(next(iter(elements.values())).shape[0], dtype=complex)
+    for e in elements.values():
+        fail = fail - e
+    return Povm({**elements, "fail": fail})
 
 
 def _principal_vectors(s1: Subspace, s2: Subspace):
@@ -376,5 +351,4 @@ def unambiguous_subspace_povm(s1: Subspace, s2: Subspace) -> Povm:
                 "never be identified unambiguously",
                 stacklevel=2,
             )
-    fail = np.eye(dim, dtype=complex) - e1 - e2
-    return Povm({"identify-1": e1, "identify-2": e2, "fail": fail})
+    return with_fail({"identify-1": e1, "identify-2": e2})

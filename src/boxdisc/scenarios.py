@@ -3,12 +3,12 @@
 Each scenario fixes a test state, the two box patterns it must tell apart
 and a measurement with decision labels. The labels (identify-k, guess-k,
 fail; their table lives next to Povm in discrimination) fix the decision
-mode and the hypothesis each outcome names, and the id fixes the reference
+mode and the outcomes each hypothesis scores, and the id fixes the reference
 success (or error) probability the implementation has to reproduce. These
 five choices are all a Scenario is built from; the rest is derived.
 Scenario construction is pure, so build_scenario builds each scenario once
 per process and hands out the same frozen object afterwards: its arrays and
-mappings are read-only, and its POVM is validated once, at construction.
+element table are read-only, and its POVM is validated once, at construction.
 Running a scenario averages the state under both hypotheses with the chosen
 engine, scores the measurement, and optionally cross-checks the figure with
 a per-sample Monte Carlo simulation of the actual experiment.
@@ -19,10 +19,11 @@ for every scenario of the batch that uses the same boxes. The auxiliary
 figures (another input, another ancilla, the coin-flip pairwise baseline)
 are dataclasses.replace variants of a shipped scenario; a variant whose id
 names an auxiliary fixture entry is checked against that entry.
+singlet_weight_scan sweeps the one-reference test state against noise.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
-to the tester, the later ones the boxes under test. All scenarios use equal
-priors.
+to the tester, the later ones the boxes under test. Both hypotheses of every
+scenario carry prior 1/2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from types import MappingProxyType
-from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .discrimination import (
     unambiguous_eval,
     unambiguous_subspace_povm,
     validate_povm,
+    with_fail,
 )
 from .haar import BoxPattern, as_pattern
 
@@ -102,17 +103,15 @@ class Scenario:
     The five init fields are what a task chooses: its id, the input state,
     the two box patterns and the measurement. The rest is derived at
     construction. paper_value and citation are the fixture entry for id, a
-    scenario id or an auxiliary name; mode and mapping follow from the POVM
-    labels (see Povm.decision); priors are equal for every task.
-    Construction also freezes the scenario: patterns become BoxPatterns, the
-    state and POVM elements read-only array copies, the element table and
-    mapping read-only mappings, and povm_report keeps validate_povm's
+    scenario id or an auxiliary name; mode follows from the POVM labels
+    (see Povm.decision), and so do the outcomes each hypothesis scores (see
+    Povm.scored). Construction also freezes the scenario: patterns become
+    BoxPatterns, the state and POVM elements read-only array copies, the
+    element table a read-only mapping, and povm_report keeps validate_povm's
     report. dataclasses.replace goes through the same steps, so a variant
-    carries the mode, mapping and report of its own POVM. Equality is
-    identity, like the per-process cache of build_scenario.
+    carries the mode and report of its own POVM. Equality is identity, like
+    the per-process cache of build_scenario.
     """
-
-    priors: ClassVar[tuple] = (0.5, 0.5)
 
     id: str
     state: np.ndarray
@@ -120,21 +119,18 @@ class Scenario:
     pattern2: BoxPattern
     povm: Povm
     mode: str = field(init=False)  # "unambiguous" or "min_error"
-    mapping: dict = field(init=False)
     paper_value: float = field(init=False)
     citation: str = field(init=False)
     povm_report: PovmReport = field(init=False)
 
     def __post_init__(self):
-        mode, mapping = self.povm.decision
         elements = {label: _read_only(e) for label, e in self.povm.elements.items()}
         povm = Povm(MappingProxyType(elements))
         object.__setattr__(self, "state", _read_only(self.state))
         object.__setattr__(self, "pattern1", as_pattern(self.pattern1))
         object.__setattr__(self, "pattern2", as_pattern(self.pattern2))
         object.__setattr__(self, "povm", povm)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "mapping", MappingProxyType(mapping))
+        object.__setattr__(self, "mode", povm.decision[0])
         object.__setattr__(self, "paper_value", reference_value(self.id))
         object.__setattr__(self, "citation", reference_citation(self.id))
         object.__setattr__(self, "povm_report", validate_povm(povm))
@@ -144,9 +140,10 @@ class Scenario:
 class ScenarioResult:
     """Outcome of one scenario run.
 
-    analytic comes from deterministic averaging; mc_estimate/mc_stderr are
-    None unless a Monte Carlo cross-check ran; cross_talk is None in
-    minimum-error mode (no forbidden outcomes there). passed requires a
+    analytic comes from deterministic averaging with the engine the run
+    named; mc_estimate/mc_stderr are None unless a Monte Carlo cross-check
+    ran; cross_talk is None in minimum-error mode (no forbidden outcomes
+    there). passed requires a
     valid POVM (the scenario's povm_report), the analytic value to match the
     reference within PASS_TOL, in unambiguous mode cross_talk at most
     CROSS_TALK_TOL, in minimum-error mode the POVM's own error
@@ -158,7 +155,6 @@ class ScenarioResult:
 
     scenario_id: str
     mode: str
-    method: str
     analytic: float
     paper_value: float
     mc_estimate: float | None
@@ -199,17 +195,6 @@ def _mixed_order_overlap_vector() -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _with_fail(elements: dict) -> Povm:
-    """Identification elements plus their complement as the fail outcome.
-
-    The elements are subtracted from the identity one by one, in order.
-    """
-    fail = np.eye(next(iter(elements.values())).shape[0], dtype=complex)
-    for e in elements.values():
-        fail = fail - e
-    return Povm({**elements, "fail": fail})
-
-
 def _build_one_ref(mode: str) -> Scenario:
     p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
     if mode == "unambiguous":
@@ -246,7 +231,7 @@ def _build_two_ref_symmetric() -> Scenario:
         state=states.ket("000"),
         pattern1="UVU",
         pattern2="UVV",
-        povm=_with_fail({"identify-1": 2.0 / 3.0 * anti_12, "identify-2": 2.0 / 3.0 * anti_02}),
+        povm=with_fail({"identify-1": 2.0 / 3.0 * anti_12, "identify-2": 2.0 / 3.0 * anti_02}),
     )
 
 
@@ -269,7 +254,7 @@ def _build_4q_pairwise() -> Scenario:
         state=states.four_qubit_test_state(),
         pattern1="UVUI",
         pattern2="UVVI",
-        povm=_with_fail({"identify-1": sym_12 @ flag["1"], "identify-2": sym_02 @ flag["0"]}),
+        povm=with_fail({"identify-1": sym_12 @ flag["1"], "identify-2": sym_02 @ flag["0"]}),
     )
 
 
@@ -294,7 +279,7 @@ def _build_pair_same(mode: str) -> Scenario:
     sym_13, anti_13 = states.sym_antisym_projectors((1, 3), 4)
     if mode == "unambiguous":
         sid = "pair-same-unambiguous"
-        povm = _with_fail({"identify-1": sym_02 @ anti_13, "identify-2": anti_02 @ sym_13})
+        povm = with_fail({"identify-1": sym_02 @ anti_13, "identify-2": anti_02 @ sym_13})
     else:
         sid, povm = "pair-same-minerror", Povm({"guess-1": sym_02, "guess-2": anti_02})
     return Scenario(
@@ -312,7 +297,7 @@ def _build_order_two_u() -> Scenario:
         state=states.double_singlet(),
         pattern1="UUUV",
         pattern2="UUVU",
-        povm=_with_fail({"identify-1": anti_02 @ sym_13, "identify-2": sym_02 @ anti_13}),
+        povm=with_fail({"identify-1": anti_02 @ sym_13, "identify-2": sym_02 @ anti_13}),
     )
 
 
@@ -336,7 +321,7 @@ def _build_order_uv() -> Scenario:
         state=states.double_singlet(),
         pattern1="UVUV",
         pattern2="UVVU",
-        povm=_with_fail({"identify-2": e2}),
+        povm=with_fail({"identify-2": e2}),
     )
 
 
@@ -373,24 +358,22 @@ class _McTally:
     """Streaming Monte Carlo figure of one scenario, fed one chunk at a time.
 
     Runs the actual circuit for both hypotheses with the same boxes and
-    scores the measurement on the resulting pure states: the prior-weighted
-    success probability in unambiguous mode, the prior-weighted wrong-guess
-    probability otherwise. Each hypothesis's scored elements are summed into
-    one operator, so a sample costs one quadratic form per hypothesis, and a
-    hypothesis nothing scores is not simulated. The variance is accumulated
-    from deviations from the first sample's value, so a constant figure has
-    stderr 0.
+    scores the measurement on the resulting pure states: the equal-prior
+    success probability in unambiguous mode, the equal-prior wrong-guess
+    probability otherwise (see Povm.scored). Each hypothesis's scored
+    elements are summed into one operator, so a sample costs one quadratic
+    form per hypothesis, and a hypothesis nothing scores is not simulated.
+    The variance is accumulated from deviations from the first sample's
+    value, so a constant figure has stderr 0.
     """
 
     def __init__(self, scenario: Scenario):
-        # Unambiguous mode scores the right guesses, minimum-error the wrong ones.
-        right = scenario.mode == "unambiguous"
         self.scored = []
-        for i, pattern in enumerate((scenario.pattern1, scenario.pattern2)):
-            labels = [l for l, t in scenario.mapping.items() if (int(t) == i) == right]
+        patterns = (scenario.pattern1, scenario.pattern2)
+        for pattern, labels in zip(patterns, scenario.povm.scored):
             if labels:
                 elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
-                self.scored.append((pattern, scenario.priors[i] * sum(elements)))
+                self.scored.append((pattern, 0.5 * sum(elements)))
         self.psi = scenario.state[:, None, None]
         self.total = self.dev = self.dev_sq = 0.0
         self.shift = None
@@ -447,49 +430,39 @@ def run_scenarios(
 ) -> list:
     """Average, score, and compare each scenario against its reference value.
 
-    method selects the deterministic engine for the analytic figure
-    ("design" or "quadrature"); "monte_carlo" keeps the design engine for
-    the analytic number and requires mc_samples > 0 for the sampled
-    cross-check. mc_samples > 0 adds the cross-check under any method, one
-    _mc_figures call for the whole batch, so the batch shares one draw per
-    chunk. The verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call
-    time; the POVM's validity was settled when the scenario was built.
-    Returns one ScenarioResult per scenario, in batch order.
+    method selects the deterministic engine for the analytic figure,
+    "design" or "quadrature". mc_samples > 0 adds the sampled cross-check
+    under either engine, one _mc_figures call for the whole batch, so the
+    batch shares one draw per chunk. Both hypotheses carry prior 1/2. The
+    verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time; the
+    POVM's validity was settled when the scenario was built. Returns one
+    ScenarioResult per scenario, in batch order.
     """
-    if method not in ("design", "quadrature", "monte_carlo"):
+    if method not in ("design", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "monte_carlo" and mc_samples <= 0:
-        raise ValueError("method 'monte_carlo' requires mc_samples > 0")
     batch = tuple(batch)
     if mc_samples > 0:
         figures = _mc_figures(batch, mc_samples, seed)
     else:
         figures = [(None, None)] * len(batch)
-    analytic_method = "quadrature" if method == "quadrature" else "design"
     results = []
     for scenario, (mc_estimate, mc_stderr) in zip(batch, figures):
-        r1 = haar.average_pattern(scenario.state, scenario.pattern1, analytic_method, nodes=nodes)
-        r2 = haar.average_pattern(scenario.state, scenario.pattern2, analytic_method, nodes=nodes)
+        r1 = haar.average_pattern(scenario.state, scenario.pattern1, method, nodes=nodes)
+        r2 = haar.average_pattern(scenario.state, scenario.pattern2, method, nodes=nodes)
         metadata = {}
         if scenario.mode == "unambiguous":
-            ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho], scenario.priors)
+            ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho])
             analytic = ev.p_success
             cross_talk = ev.cross_talk
             metadata["failure_prob"] = ev.failure_prob
             metadata["per_state_success"] = list(ev.per_state_success)
         else:
-            best = helstrom(r1.rho, r2.rho, *scenario.priors)
+            best = helstrom(r1.rho, r2.rho)
             analytic = best.p_error
             cross_talk = None
-            probs1 = outcome_probs(scenario.povm, r1.rho)
-            probs2 = outcome_probs(scenario.povm, r2.rho)
-            povm_error = sum(
-                scenario.priors[i] * sum(
-                    p[l] for l, t in scenario.mapping.items() if int(t) != i
-                )
-                for i, p in enumerate((probs1, probs2))
-            )
-            metadata["povm_error"] = float(povm_error)
+            probs = (outcome_probs(scenario.povm, r.rho) for r in (r1, r2))
+            wrong = [sum(p[l] for l in labels) for p, labels in zip(probs, scenario.povm.scored)]
+            metadata["povm_error"] = float(0.5 * sum(wrong))
         passed = scenario.povm_report.valid and abs(analytic - scenario.paper_value) <= PASS_TOL
         if scenario.mode == "unambiguous":
             passed = passed and cross_talk <= CROSS_TALK_TOL
@@ -501,7 +474,6 @@ def run_scenarios(
             ScenarioResult(
                 scenario_id=scenario.id,
                 mode=scenario.mode,
-                method=method,
                 analytic=float(analytic),
                 paper_value=scenario.paper_value,
                 mc_estimate=mc_estimate,
@@ -610,6 +582,41 @@ def random_pairwise_baseline() -> ScenarioResult:
     variant = replace(
         build_scenario("two-ref-symmetric"),
         id="random-pairwise-baseline",
-        povm=_with_fail({"identify-1": 0.5 * anti_12, "identify-2": 0.5 * anti_02}),
+        povm=with_fail({"identify-1": 0.5 * anti_12, "identify-2": 0.5 * anti_02}),
     )
     return run_scenario(variant)
+
+
+@dataclass(frozen=True)
+class WeightScanRow:
+    """One grid point of singlet_weight_scan."""
+
+    singlet_weight: float
+    trace_norm: float
+    closed_form: float
+    p_error: float
+
+
+def singlet_weight_scan(grid) -> list:
+    """Sweep the singlet fraction of a two-wire test state against noise.
+
+    For each weight w in the grid, builds sqrt(w)|psi-> + sqrt(1-w)|psi+>,
+    averages it under the same box on both wires (exact engine), and compares
+    the trace norm of the difference from the maximally mixed state against
+    the closed form 2|1/4 - w|. Also reports the minimum error probability,
+    which is smallest at w = 1: the singlet is the best choice of test state
+    in this family.
+    """
+    rows = []
+    eye4 = np.eye(4, dtype=complex) / 4.0
+    for w in grid:
+        w = float(w)
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"singlet weight {w} outside [0, 1]")
+        psi = states.bell_combination(np.sqrt(w), np.sqrt(1.0 - w), 0.0, 0.0)
+        rho1 = haar.average_pattern(psi, "UU").rho
+        delta = rho1 - eye4
+        trace_norm = linalg.abs_eig_sum(delta)
+        p_error = helstrom(rho1, eye4).p_error
+        rows.append(WeightScanRow(w, trace_norm, 2.0 * abs(0.25 - w), p_error))
+    return rows

@@ -118,7 +118,7 @@ def _placement(wires, n: int) -> list:
     return [p if p >= 0 else next(rest) for p in perm]
 
 
-def sym_antisym_projectors(pair, n: int = 2):
+def sym_antisym_projectors(pair, n: int):
     """Projectors onto the symmetric/antisymmetric sectors of one wire pair.
 
     Returns the tuple (P_sym, P_anti) acting on the full n-wire register.
@@ -163,19 +163,6 @@ def approx_double_singlet_3q() -> np.ndarray:
     return v
 
 
-def double_singlet(pairs=((0, 2), (1, 3)), n: int = 4) -> np.ndarray:
-    """Product of two singlets on the named wire pairs; leftover wires get |0>.
-
-    With the default pairing ((0, 2), (1, 3)) on four wires this is the
-    singlet on AC times the singlet on BD.
-    """
-    (i, j), (k, l) = pairs
-    wires = (int(i), int(j), int(k), int(l))
-    if len(set(wires)) != 4:
-        raise ValueError(f"pairs {pairs} reuse a wire")
-    if n < 4 or any(w < 0 or w >= n for w in wires):
-        raise ValueError(f"pairs {pairs} do not fit a {n}-qubit register")
-    core = np.kron(bell("psi-"), bell("psi-"))
-    if n > 4:
-        core = np.kron(core, ket("0" * (n - 4)))
-    return linalg.permute_qubits(core, _placement(wires, n))
+def double_singlet() -> np.ndarray:
+    """Four-wire product of a singlet on AC and a singlet on BD."""
+    return linalg.permute_qubits(np.kron(bell("psi-"), bell("psi-")), (0, 2, 1, 3))

@@ -16,7 +16,6 @@ from boxdisc import cli, haar, linalg, states
 from boxdisc.discrimination import (
     helstrom,
     outcome_probs,
-    singlet_weight_scan,
     unambiguous_subspace_povm,
     validate_povm,
 )
@@ -26,6 +25,7 @@ from boxdisc.scenarios import (
     equivalence_witness_order_refs,
     reference_value,
     run_scenario,
+    singlet_weight_scan,
     symmetric_variant_success,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_08_order_uv_task():
     assert abs(res.analytic - 1 / 3) <= 1e-10
 
     rho1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
-    projector = states.density(states.double_singlet(((0, 2), (1, 3)), 4))
+    projector = states.density(states.double_singlet())
     assert np.max(np.abs(rho1 - projector)) <= 1e-10
 
 

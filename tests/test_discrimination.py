@@ -3,18 +3,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxdisc import linalg, states
+from boxdisc import discrimination, linalg, states
 from boxdisc.discrimination import (
     Povm,
     Subspace,
     helstrom,
     jordan_bases,
     outcome_probs,
-    singlet_weight_scan,
     unambiguous_eval,
     unambiguous_subspace_povm,
     validate_povm,
 )
+from boxdisc.scenarios import singlet_weight_scan
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -28,6 +28,10 @@ def random_density(rng, dim):
 def projective_pair():
     p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
     return Povm({"identify-2": p_sym, "fail": p_anti})
+
+
+def test_depends_only_on_linalg():
+    assert not hasattr(discrimination, "haar") and not hasattr(discrimination, "states")
 
 
 class TestPovmValidation:
@@ -97,31 +101,26 @@ class TestHelstrom:
         res = helstrom(random_density(rng, 4), random_density(rng, 4))
         assert np.all(np.diff(res.eigenvalues) <= 1e-12)
 
-    def test_kernel_assigned_to_higher_prior(self):
+    def test_kernel_assigned_to_first_state(self):
         rho = np.eye(2) / 2
-        # Identical states: the whole spectrum is kernel. Guessing the
-        # higher-prior state errs exactly with the lower prior.
-        res = helstrom(rho, rho, 0.3, 0.7)
+        # Identical states: the whole spectrum is kernel, and every outcome
+        # guesses the first state, which errs with its prior 1/2.
+        res = helstrom(rho, rho)
         probs1 = outcome_probs(res.optimal_projectors, rho)
-        assert probs1["guess-2"] == pytest.approx(1.0, abs=1e-12)
-        assert res.p_error == pytest.approx(0.3, abs=1e-12)
+        assert probs1["guess-1"] == pytest.approx(1.0, abs=1e-12)
+        assert res.p_error == pytest.approx(0.5, abs=1e-12)
 
-    def test_priors_must_be_normalized(self):
-        rho = np.eye(2) / 2
-        with pytest.raises(ValueError):
-            helstrom(rho, rho, 0.5, 0.6)
-
-    @given(seeds, st.floats(0.05, 0.95))
+    @given(seeds)
     @settings(max_examples=60)
-    def test_error_bounds_and_projector_consistency(self, seed, p1):
+    def test_error_bounds_and_projector_consistency(self, seed):
         rng = np.random.default_rng(seed)
         r1 = random_density(rng, 4)
         r2 = random_density(rng, 4)
-        res = helstrom(r1, r2, p1, 1.0 - p1)
-        assert -1e-12 <= res.p_error <= min(p1, 1.0 - p1) + 1e-12
+        res = helstrom(r1, r2)
+        assert -1e-12 <= res.p_error <= 0.5 + 1e-12
         probs1 = outcome_probs(res.optimal_projectors, r1)
         probs2 = outcome_probs(res.optimal_projectors, r2)
-        achieved = p1 * probs1["guess-2"] + (1.0 - p1) * probs2["guess-1"]
+        achieved = 0.5 * probs1["guess-2"] + 0.5 * probs2["guess-1"]
         assert abs(achieved - res.p_error) <= 1e-10
 
     @given(seeds)
@@ -154,7 +153,7 @@ class TestSingletWeightScan:
 class TestUnambiguousEval:
     def test_one_reference_numbers(self):
         _, p_anti = states.sym_antisym_projectors((0, 1), 2)
-        res = unambiguous_eval(projective_pair(), [p_anti, np.eye(4) / 4], (0.5, 0.5))
+        res = unambiguous_eval(projective_pair(), [p_anti, np.eye(4) / 4])
         assert res.p_success == pytest.approx(3 / 8, abs=1e-12)
         assert res.per_state_success[0] == 0.0
         assert res.per_state_success[1] == pytest.approx(3 / 4, abs=1e-12)
@@ -165,25 +164,21 @@ class TestUnambiguousEval:
     def test_unknown_labels_rejected(self):
         povm = Povm({"a": np.eye(2) * 0.5, "b": np.eye(2) * 0.25, "fail": np.eye(2) * 0.25})
         with pytest.raises(ValueError, match="unknown POVM labels"):
-            unambiguous_eval(povm, [np.eye(2) / 2] * 2, (0.5, 0.5))
+            unambiguous_eval(povm, [np.eye(2) / 2] * 2)
 
     def test_min_error_povm_rejected(self):
         _, p_anti = states.sym_antisym_projectors((0, 1), 2)
         guesses = helstrom(p_anti, np.eye(4) / 4).optimal_projectors
         with pytest.raises(ValueError, match="not unambiguous"):
-            unambiguous_eval(guesses, [p_anti, np.eye(4) / 4], (0.5, 0.5))
+            unambiguous_eval(guesses, [p_anti, np.eye(4) / 4])
 
     def test_state_count_must_match_the_labels(self):
         # identify-2 names the second hypothesis, so one state leaves it
         # dangling and a third state could never be identified.
         mix = np.eye(4) / 4
-        for rhos, priors in (([mix], (1.0,)), ([mix] * 3, (0.4, 0.3, 0.3))):
+        for rhos in ([mix], [mix] * 3):
             with pytest.raises(ValueError, match="two hypotheses"):
-                unambiguous_eval(projective_pair(), rhos, priors)
-
-    def test_bad_priors_rejected(self):
-        with pytest.raises(ValueError):
-            unambiguous_eval(projective_pair(), [np.eye(4) / 4] * 2, (0.9, 0.5))
+                unambiguous_eval(projective_pair(), rhos)
 
 
 def one_dim_subspace(vec):

@@ -27,8 +27,12 @@ CASES = {
     "design-csv": ["--all", "--format", "csv"],
     "design-table": ["--all", "--format", "table"],
     "quadrature-nodes7-json": ["--all", "--method", "quadrature", "--nodes", "7", "--format", "json"],
+    "quadrature-nodes7-csv": ["--all", "--method", "quadrature", "--nodes", "7", "--format", "csv"],
     "montecarlo-3000-seed7-json": [
         "--all", "--method", "monte_carlo", "--samples", "3000", "--seed", "7", "--format", "json",
+    ],
+    "montecarlo-3000-seed7-csv": [
+        "--all", "--method", "monte_carlo", "--samples", "3000", "--seed", "7", "--format", "csv",
     ],
 }
 

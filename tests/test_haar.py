@@ -331,13 +331,14 @@ def _apply_boxes_samples_first(batch, pattern, gates):
 
 def _mc_figure_samples_first(scenario, samples, seed):
     """One scenario's scenarios._mc_figures scored on sample-first batches of kets."""
-    right = scenario.mode == "unambiguous"
+    mode, mapping = scenario.povm.decision
+    right = mode == "unambiguous"
     scored = []
     for i, pattern in enumerate((scenario.pattern1, scenario.pattern2)):
-        labels = [l for l, t in scenario.mapping.items() if (int(t) == i) == right]
+        labels = [l for l, t in mapping.items() if (t == i) == right]
         if labels:
             elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
-            scored.append((pattern, scenario.priors[i] * sum(elements)))
+            scored.append((pattern, 0.5 * sum(elements)))
     psi = scenario.state[:, None]
     total, shift, dev, dev_sq = 0.0, None, 0.0, 0.0
     labels = scenario.pattern1.labels + scenario.pattern2.labels

@@ -32,23 +32,23 @@ EXPECTED_IDS = (
     "two-ref-symmetric",
 )
 
-_BOTH = {"identify-1": 0, "identify-2": 1}
-_GUESSES = {"guess-1": 0, "guess-2": 1}
-_SECOND = {"identify-2": 1}
+_BOTH = {"identify-1": 0, "identify-2": 1}, (("identify-1",), ("identify-2",))
+_GUESSES = {"guess-1": 0, "guess-2": 1}, (("guess-2",), ("guess-1",))
+_SECOND = {"identify-2": 1}, ((), ("identify-2",))
 
-#: Mode and mapping that each scenario's POVM labels must give.
+#: Mode, mapping and scored labels that each scenario's POVM labels must give.
 EXPECTED_DECISIONS = {
-    "one-ref-minerror": ("min_error", _GUESSES),
-    "one-ref-unambiguous": ("unambiguous", _SECOND),
-    "order-two-u-refs": ("unambiguous", _BOTH),
-    "order-uv-refs": ("unambiguous", _SECOND),
-    "pair-same-minerror": ("min_error", _GUESSES),
-    "pair-same-unambiguous": ("unambiguous", _BOTH),
-    "two-ref-4q-pairwise": ("unambiguous", _BOTH),
-    "two-ref-4q-subspace": ("unambiguous", _BOTH),
-    "two-ref-minerror-3q": ("min_error", _GUESSES),
-    "two-ref-singlet": ("unambiguous", _SECOND),
-    "two-ref-symmetric": ("unambiguous", _BOTH),
+    "one-ref-minerror": ("min_error", *_GUESSES),
+    "one-ref-unambiguous": ("unambiguous", *_SECOND),
+    "order-two-u-refs": ("unambiguous", *_BOTH),
+    "order-uv-refs": ("unambiguous", *_SECOND),
+    "pair-same-minerror": ("min_error", *_GUESSES),
+    "pair-same-unambiguous": ("unambiguous", *_BOTH),
+    "two-ref-4q-pairwise": ("unambiguous", *_BOTH),
+    "two-ref-4q-subspace": ("unambiguous", *_BOTH),
+    "two-ref-minerror-3q": ("min_error", *_GUESSES),
+    "two-ref-singlet": ("unambiguous", *_SECOND),
+    "two-ref-symmetric": ("unambiguous", *_BOTH),
 }
 
 
@@ -151,9 +151,8 @@ class TestCatalog:
         for array in (scenario.state, *scenario.povm.elements.values()):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        for mapping in (scenario.povm.elements, scenario.mapping):
-            with pytest.raises(TypeError):
-                mapping["extra"] = 0
+        with pytest.raises(TypeError):
+            scenario.povm.elements["extra"] = 0
 
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_reference_table_agrees_with_scenario(self, sid):
@@ -166,10 +165,10 @@ class TestDerivedFields:
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_mode_and_mapping_follow_from_povm_labels(self, sid):
         scenario = build_scenario(sid)
-        mode, mapping = EXPECTED_DECISIONS[sid]
+        mode, mapping, scored = EXPECTED_DECISIONS[sid]
         assert scenario.mode == mode
-        assert dict(scenario.mapping) == mapping
-        assert scenario.priors == (0.5, 0.5)
+        assert scenario.povm.decision == (mode, mapping)
+        assert scenario.povm.scored == scored
 
     def test_replaced_povm_brings_its_own_mode(self):
         # A Helstrom measurement on the unambiguous task turns it into a
@@ -179,7 +178,7 @@ class TestDerivedFields:
         r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
         probe = dataclasses.replace(scenario, povm=helstrom(r1, r2).optimal_projectors)
         assert probe.mode == "min_error"
-        assert dict(probe.mapping) == _GUESSES
+        assert probe.povm.decision == ("min_error", _GUESSES[0])
         res = run_scenario(probe)
         assert res.mode == "min_error" and res.cross_talk is None
         assert res.analytic == pytest.approx(1 / 8, abs=1e-12)
@@ -199,9 +198,10 @@ class TestDerivedFields:
         given = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(Scenario) if f.init}
         assert sorted(given) == ["id", "pattern1", "pattern2", "povm", "state"]
         assert Scenario(**given).mode == "min_error"
-        for name in ("mode", "mapping", "paper_value", "citation", "priors"):
+        for name in ("mode", "paper_value", "citation"):
             with pytest.raises(TypeError):
                 Scenario(**given, **{name: getattr(scenario, name)})
+        assert not hasattr(scenario, "priors") and not hasattr(scenario, "mapping")
 
     def test_string_patterns_are_converted(self):
         scenario = build_scenario("one-ref-minerror")
@@ -311,14 +311,18 @@ class TestAnalyticRuns:
         assert not hasattr(discrimination, "CROSS_TALK_TOL")
 
     def test_monte_carlo_method_requires_samples(self):
-        with pytest.raises(ValueError):
-            run_scenario(build_scenario("one-ref-unambiguous"), method="monte_carlo")
+        # Monte Carlo is a cross-check under an exact engine, not an engine.
+        for samples in (0, 100):
+            with pytest.raises(ValueError, match="unknown method"):
+                run_scenario(
+                    build_scenario("one-ref-unambiguous"), method="monte_carlo", mc_samples=samples
+                )
 
 
 class TestOrderUvStructure:
     def test_state_one_is_never_identified(self):
         scenario = build_scenario("order-uv-refs")
-        assert 0 not in scenario.mapping.values()
+        assert 0 not in scenario.povm.decision[1].values()
         res = run_scenario(scenario)
         assert res.metadata["per_state_success"][0] == 0.0
         assert res.metadata["per_state_success"][1] == pytest.approx(2 / 3, abs=1e-10)
@@ -328,7 +332,7 @@ class TestOrderUvStructure:
         from boxdisc.haar import average_pattern
 
         rho1 = average_pattern(scenario.state, scenario.pattern1, "design").rho
-        target = states.density(states.double_singlet(((0, 2), (1, 3)), 4))
+        target = states.density(states.double_singlet())
         assert np.max(np.abs(rho1 - target)) <= 1e-10
 
 
@@ -474,6 +478,7 @@ def _mc_figure_reference(scenario, samples, seed):
     """
     patterns = (scenario.pattern1, scenario.pattern2)
     labels = patterns[0].labels + patterns[1].labels
+    mode, mapping = scenario.povm.decision
     values = []
     for m, gates in haar.draw_boxes(samples, seed, labels):
         for s in range(m):
@@ -483,13 +488,11 @@ def _mc_figure_reference(scenario, samples, seed):
                 for label in pattern.labels:
                     w = np.kron(w, np.eye(2) if label == "I" else gates[label][s])
                 out = w @ scenario.state
-                for label, target in scenario.mapping.items():
-                    right = int(target) == i
-                    if right == (scenario.mode == "unambiguous"):
+                for label, target in mapping.items():
+                    right = target == i
+                    if right == (mode == "unambiguous"):
                         e = scenario.povm.elements[label]
-                        value += scenario.priors[i] * np.real(
-                            np.einsum("i,ij,j->", out.conj(), e, out)
-                        )
+                        value += 0.5 * np.real(np.einsum("i,ij,j->", out.conj(), e, out))
             values.append(value)
     values = np.array(values)
     return values.mean(), values.std() / np.sqrt(samples)

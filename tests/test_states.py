@@ -154,16 +154,11 @@ class TestApproxDoubleSinglet:
 
 
 class TestDoubleSinglet:
-    def test_product_of_singlets(self):
-        psi = states.double_singlet(((0, 1), (2, 3)), 4)
-        expected = np.kron(states.bell("psi-"), states.bell("psi-"))
-        assert np.max(np.abs(psi - expected)) <= 1e-12
-
     def test_regrouping_coefficients_one_half(self):
         # Singlets on the crossed pairs (0,2), (1,3) re-expand across the
         # adjacent pairs (0,1), (2,3) with amplitude 1/2 on each matched
         # Bell-state product.
-        psi = states.double_singlet(((0, 2), (1, 3)), 4)
+        psi = states.double_singlet()
         signs = {"psi-": 0.5, "psi+": -0.5, "phi-": -0.5, "phi+": 0.5}
         total = np.zeros_like(psi)
         for kind, coeff in signs.items():
@@ -177,16 +172,6 @@ class TestDoubleSinglet:
     def test_invariant_under_common_box(self, seed):
         ((_, gates),) = haar.draw_boxes(1, seed, "U")
         u = gates["U"][0]
-        psi = states.double_singlet(((0, 2), (1, 3)), 4)
+        psi = states.double_singlet()
         w = np.kron(np.kron(u, u), np.kron(u, u))
         assert np.max(np.abs(w @ psi - psi)) <= 1e-9
-
-    def test_rejects_overlapping_pairs(self):
-        with pytest.raises(ValueError):
-            states.double_singlet(((0, 1), (1, 2)), 4)
-
-    def test_spare_wires_get_zero_ket(self):
-        psi = states.double_singlet(((0, 1), (2, 3)), 5)
-        rho = states.density(psi)
-        red = _partial_trace(rho, (4,))
-        assert np.max(np.abs(red - states.density(states.ket("0")))) <= 1e-12
