@@ -71,16 +71,16 @@ def execute(ids, method="design", samples=0, seed=0, nodes=haar.DEFAULT_NODES) -
     )
     records = [
         {
-            "scenario": result.scenario_id,
-            "mode": result.mode,
+            "scenario": result.scenario.id,
+            "mode": result.scenario.mode,
             "method": method,
             "analytic": result.analytic,
-            "paper_value": result.paper_value,
+            "paper_value": result.scenario.paper_value,
             "mc_estimate": result.mc_estimate,
             "mc_stderr": result.mc_stderr,
             "cross_talk": result.cross_talk,
             "pass": result.passed,
-            "citation": result.citation,
+            "citation": result.scenario.citation,
         }
         for result in results
     ]

@@ -25,7 +25,6 @@ __all__ = [
     "PovmReport",
     "MinErrorResult",
     "UnambiguousResult",
-    "Subspace",
     "validate_povm",
     "with_fail",
     "outcome_probs",
@@ -182,14 +181,12 @@ def helstrom(rho1: np.ndarray, rho2: np.ndarray) -> MinErrorResult:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
-    spec = linalg.herm_eig(0.5 * rho1 - 0.5 * rho2)
-    lam = spec.eigenvalues
+    lam, v = linalg.herm_eig(0.5 * rho1 - 0.5 * rho2)
     p_error = 0.5 * (1.0 - float(np.sum(np.abs(lam))))
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     cut = 1e-12 * max(1.0, scale)
     negative = lam < -cut
     positive = ~negative  # the kernel goes to the first state
-    v = spec.eigenvectors
     proj1 = v[:, positive] @ v[:, positive].conj().T
     proj2 = v[:, negative] @ v[:, negative].conj().T
     povm = Povm({"guess-1": proj1, "guess-2": proj2})

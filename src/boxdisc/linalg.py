@@ -1,7 +1,9 @@
 """Dense complex linear algebra for small multi-qubit registers.
 
 Everything operates on plain numpy arrays: states are 1-d complex vectors of
-length 2**n, operators are 2**n x 2**n complex matrices. Qubit 0 is always
+length 2**n, operators are 2**n x 2**n complex matrices, and an
+eigendecomposition is the pair (eigenvalues, eigenvectors). The one type is
+Subspace, an orthonormal basis checked once at construction. Qubit 0 is always
 the leftmost tensor factor, so basis index 0b011 on three wires means wire 0
 in |0> and wires 1, 2 in |1>. Ambient dimensions stay at or below 2**6, so
 nothing here tries to be clever about sparsity.
@@ -23,44 +25,20 @@ PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray
-        Real eigenvalues sorted in descending order.
-    eigenvectors : ndarray
-        Orthonormal eigenvectors as columns, column i belonging to
-        eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of an ambient state space, held as an orthonormal basis.
 
-    Attributes
-    ----------
-    ambient_dim : int
-        Dimension of the surrounding space.
-    basis : ndarray
-        Array of shape (ambient_dim, dim) whose columns are orthonormal.
+    basis is an array of shape (ambient_dim, dim) whose columns are
+    orthonormal; both dimensions are read off its shape.
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
         object.__setattr__(self, "basis", basis)
-        if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis shape {basis.shape} does not match ambient dim {self.ambient_dim}"
-            )
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be a 2-d array, got shape {basis.shape}")
         if basis.shape[1]:
             gram = basis.conj().T @ basis
             err = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
@@ -68,11 +46,12 @@ class Subspace:
                 raise ValueError(f"basis columns are not orthonormal (deviation {err:.3g})")
 
     @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
@@ -117,8 +96,11 @@ def hermiticity_error(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def herm_eig(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def herm_eig(m: np.ndarray) -> tuple:
+    """Eigendecomposition (eigenvalues, eigenvectors) of a Hermitian matrix.
+
+    The real eigenvalues descend, and column i of eigenvectors belongs to
+    eigenvalues[i]; the columns are orthonormal.
 
     Raises
     ------
@@ -130,12 +112,12 @@ def herm_eig(m: np.ndarray) -> Spectrum:
     if err > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {err:.3g})")
     vals, vecs = np.linalg.eigh(m)
-    return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def abs_eig_sum(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (its trace norm)."""
-    return float(np.sum(np.abs(herm_eig(m).eigenvalues)))
+    return float(np.sum(np.abs(herm_eig(m)[0])))
 
 
 def range_basis(rho: np.ndarray) -> Subspace:
@@ -145,7 +127,7 @@ def range_basis(rho: np.ndarray) -> Subspace:
     one, so numerical noise far below the relative cutoff never inflates the
     rank.
     """
-    spec = herm_eig(rho)
-    lam_max = spec.eigenvalues[0] if spec.eigenvalues.size else 0.0
-    mask = spec.eigenvalues > RANK_TOL * lam_max if lam_max > 0 else spec.eigenvalues > 0
-    return Subspace(rho.shape[0], spec.eigenvectors[:, mask].copy())
+    vals, vecs = herm_eig(rho)
+    lam_max = vals[0] if vals.size else 0.0
+    mask = vals > RANK_TOL * lam_max if lam_max > 0 else vals > 0
+    return Subspace(vecs[:, mask].copy())

@@ -138,31 +138,23 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Outcome of one scenario run.
+    """Outcome of one scenario run: the scenario and what the run computed.
 
-    analytic comes from deterministic averaging with the engine the run
-    named; mc_estimate/mc_stderr are None unless a Monte Carlo cross-check
-    ran; cross_talk is None in minimum-error mode (no forbidden outcomes
-    there). passed requires a
-    valid POVM (the scenario's povm_report), the analytic value to match the
-    reference within PASS_TOL, in unambiguous mode cross_talk at most
-    CROSS_TALK_TOL, in minimum-error mode the POVM's own error
-    (metadata["povm_error"]) to match the Helstrom bound within PASS_TOL,
-    and, when present, the Monte Carlo estimate to sit within MC_SIGMA
-    standard errors of analytic. All three gates are this module's
-    constants.
+    scenario is the Scenario that ran, so its id, mode, paper_value,
+    citation and povm_report are read through it. analytic comes from
+    deterministic averaging with the engine the run named;
+    mc_estimate/mc_stderr are None unless a Monte Carlo cross-check ran;
+    cross_talk is None in minimum-error mode (no forbidden outcomes there).
+    passed is the verdict of run_scenarios; see there for its gates.
     """
 
-    scenario_id: str
-    mode: str
+    scenario: Scenario
     analytic: float
-    paper_value: float
     mc_estimate: float | None
     mc_stderr: float | None
     cross_talk: float | None
     passed: bool
-    citation: str
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def _singlet_with_ancilla(b_state) -> np.ndarray:
@@ -434,9 +426,15 @@ def run_scenarios(
     "design" or "quadrature". mc_samples > 0 adds the sampled cross-check
     under either engine, one _mc_figures call for the whole batch, so the
     batch shares one draw per chunk. Both hypotheses carry prior 1/2. The
-    verdict reads PASS_TOL, CROSS_TALK_TOL and MC_SIGMA at call time; the
-    POVM's validity was settled when the scenario was built. Returns one
-    ScenarioResult per scenario, in batch order.
+    mode picks the figure and its own gate: cross_talk at most
+    CROSS_TALK_TOL in unambiguous mode, the POVM's error equal to the
+    Helstrom bound within PASS_TOL in minimum-error mode. passed is one
+    conjunction: a valid POVM (settled when the scenario was built), the
+    analytic figure within PASS_TOL of the reference, the mode's gate and,
+    when sampled, the Monte Carlo estimate within MC_SIGMA standard errors
+    of the analytic figure. The gates read PASS_TOL, CROSS_TALK_TOL and
+    MC_SIGMA at call time. Returns one ScenarioResult per scenario, in batch
+    order.
     """
     if method not in ("design", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -449,38 +447,37 @@ def run_scenarios(
     for scenario, (mc_estimate, mc_stderr) in zip(batch, figures):
         r1 = haar.average_pattern(scenario.state, scenario.pattern1, method, nodes=nodes)
         r2 = haar.average_pattern(scenario.state, scenario.pattern2, method, nodes=nodes)
-        metadata = {}
         if scenario.mode == "unambiguous":
             ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho])
             analytic = ev.p_success
             cross_talk = ev.cross_talk
-            metadata["failure_prob"] = ev.failure_prob
-            metadata["per_state_success"] = list(ev.per_state_success)
+            metadata = {
+                "failure_prob": ev.failure_prob,
+                "per_state_success": list(ev.per_state_success),
+            }
+            mode_gate = cross_talk <= CROSS_TALK_TOL
         else:
-            best = helstrom(r1.rho, r2.rho)
-            analytic = best.p_error
+            analytic = helstrom(r1.rho, r2.rho).p_error
             cross_talk = None
             probs = (outcome_probs(scenario.povm, r.rho) for r in (r1, r2))
             wrong = [sum(p[l] for l in labels) for p, labels in zip(probs, scenario.povm.scored)]
-            metadata["povm_error"] = float(0.5 * sum(wrong))
-        passed = scenario.povm_report.valid and abs(analytic - scenario.paper_value) <= PASS_TOL
-        if scenario.mode == "unambiguous":
-            passed = passed and cross_talk <= CROSS_TALK_TOL
-        else:
-            passed = passed and abs(metadata["povm_error"] - analytic) <= PASS_TOL
-        if mc_estimate is not None:
-            passed = passed and abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr
+            povm_error = float(0.5 * sum(wrong))
+            metadata = {"povm_error": povm_error}
+            mode_gate = abs(povm_error - analytic) <= PASS_TOL
+        passed = (
+            scenario.povm_report.valid
+            and abs(analytic - scenario.paper_value) <= PASS_TOL
+            and mode_gate
+            and (mc_estimate is None or abs(mc_estimate - analytic) <= MC_SIGMA * mc_stderr)
+        )
         results.append(
             ScenarioResult(
-                scenario_id=scenario.id,
-                mode=scenario.mode,
+                scenario=scenario,
                 analytic=float(analytic),
-                paper_value=scenario.paper_value,
                 mc_estimate=mc_estimate,
                 mc_stderr=mc_stderr,
                 cross_talk=cross_talk,
                 passed=bool(passed),
-                citation=scenario.citation,
                 metadata=metadata,
             )
         )
@@ -613,7 +610,7 @@ def singlet_weight_scan(grid) -> list:
         w = float(w)
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"singlet weight {w} outside [0, 1]")
-        psi = states.bell_combination(np.sqrt(w), np.sqrt(1.0 - w), 0.0, 0.0)
+        psi = np.sqrt(w) * states.bell("psi-") + np.sqrt(1.0 - w) * states.bell("psi+")
         rho1 = haar.average_pattern(psi, "UU").rho
         delta = rho1 - eye4
         trace_norm = linalg.abs_eig_sum(delta)

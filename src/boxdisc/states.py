@@ -69,18 +69,6 @@ def bell(kind: str) -> np.ndarray:
     return _BELL[kind].copy()
 
 
-def bell_combination(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    """Two-wire state a|psi-> + b|psi+> + c|phi-> + d|phi+>.
-
-    The coefficients must already be normalized; a norm error above 1e-9 is
-    rejected rather than silently rescaled.
-    """
-    total = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"coefficient norm squared is {total}, not 1")
-    return a * _BELL["psi-"] + b * _BELL["psi+"] + c * _BELL["phi-"] + d * _BELL["phi+"]
-
-
 def embed_operator(op: np.ndarray, wires, n: int) -> np.ndarray:
     """Embed an operator acting on the given wires into an n-wire register.
 

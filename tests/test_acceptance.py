@@ -99,8 +99,8 @@ def test_criterion_05_subspace_povm_construction():
 
     # Frozen derived value for the per-state success of this construction.
     res = run_scenario(scenario)
-    assert abs(res.analytic - res.paper_value) <= 1e-9
-    assert abs(res.paper_value - 3 / 8) <= 1e-12
+    assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
+    assert abs(res.scenario.paper_value - 3 / 8) <= 1e-12
 
 
 @pytest.mark.xfail(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from boxdisc import discrimination, linalg, states
 from boxdisc.discrimination import (
     Povm,
-    Subspace,
     helstrom,
     jordan_bases,
     outcome_probs,
@@ -14,6 +13,7 @@ from boxdisc.discrimination import (
     unambiguous_subspace_povm,
     validate_povm,
 )
+from boxdisc.linalg import Subspace
 from boxdisc.scenarios import singlet_weight_scan
 
 seeds = st.integers(0, 2**32 - 1)
@@ -184,7 +184,7 @@ class TestUnambiguousEval:
 def one_dim_subspace(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
-    return Subspace(v.size, v[:, None])
+    return Subspace(v[:, None])
 
 
 class TestJordanBases:
@@ -210,7 +210,7 @@ class TestJordanBases:
         rng = np.random.default_rng(8)
         a = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
         b = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
-        pairs = jordan_bases(Subspace(8, a), Subspace(8, b))
+        pairs = jordan_bases(Subspace(a), Subspace(b))
         cosines = [c for _, _, c in pairs]
         assert all(x >= y - 1e-12 for x, y in zip(cosines, cosines[1:]))
         for i, (u, v, c) in enumerate(pairs):
@@ -251,7 +251,7 @@ class TestJordanBases:
                 second_branch(states.bell("psi+"), e0),
             ]
         )
-        pairs = jordan_bases(Subspace(16, u_cols), Subspace(16, v_cols))
+        pairs = jordan_bases(Subspace(u_cols), Subspace(v_cols))
         cosines = [c for _, _, c in pairs]
         assert sum(1 for c in cosines if c >= 1 - 1e-9) == 1
         assert all(c < 1 - 1e-6 for c in cosines[1:])
@@ -305,7 +305,7 @@ class TestUnambiguousSubspacePovm:
 
     def test_contained_support_warns_but_builds(self):
         inner = one_dim_subspace([1, 0, 0])
-        outer = Subspace(3, np.eye(3)[:, :2])
+        outer = Subspace(np.eye(3)[:, :2])
         with pytest.warns(UserWarning, match="never be identified"):
             povm = unambiguous_subspace_povm(inner, outer)
         assert validate_povm(povm).valid
@@ -319,7 +319,7 @@ class TestUnambiguousSubspacePovm:
         rng = np.random.default_rng(seed)
         a = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
         b = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
-        s1, s2 = Subspace(8, a), Subspace(8, b)
+        s1, s2 = Subspace(a), Subspace(b)
         cosines = [c for _, _, c in jordan_bases(s1, s2)]
         assume(all(c < 1 - 1e-6 for c in cosines))
         povm = unambiguous_subspace_povm(s1, s2)

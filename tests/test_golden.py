@@ -34,6 +34,10 @@ CASES = {
     "montecarlo-3000-seed7-csv": [
         "--all", "--method", "monte_carlo", "--samples", "3000", "--seed", "7", "--format", "csv",
     ],
+    "subset-dup-table": [
+        "--scenario", "two-ref-singlet", "--scenario", "one-ref-minerror",
+        "--scenario", "two-ref-singlet", "--format", "table",
+    ],
 }
 
 

@@ -138,7 +138,7 @@ class TestAveragePattern:
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=30)
     def test_bell_mixture_same_box_closed_form(self, w):
-        psi = states.bell_combination(np.sqrt(w), np.sqrt(1 - w), 0, 0)
+        psi = np.sqrt(w) * states.bell("psi-") + np.sqrt(1 - w) * states.bell("psi+")
         res = average_pattern(psi, "UU")
         p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
         expected = w * p_anti + (1 - w) * p_sym / 3

@@ -180,7 +180,7 @@ class TestDerivedFields:
         assert probe.mode == "min_error"
         assert probe.povm.decision == ("min_error", _GUESSES[0])
         res = run_scenario(probe)
-        assert res.mode == "min_error" and res.cross_talk is None
+        assert res.scenario.mode == "min_error" and res.cross_talk is None
         assert res.analytic == pytest.approx(1 / 8, abs=1e-12)
         assert res.passed is False
 
@@ -216,12 +216,27 @@ class TestDerivedFields:
         assert len({build_scenario(sid) for sid in SCENARIO_IDS}) == 11
 
 
+class TestResultCensus:
+    @pytest.mark.parametrize("sid", EXPECTED_IDS)
+    def test_result_points_at_its_scenario(self, sid):
+        scenario = build_scenario(sid)
+        assert run_scenario(scenario).scenario is scenario
+        assert [f.name for f in dataclasses.fields(scenarios.ScenarioResult)] == [
+            "scenario", "analytic", "mc_estimate", "mc_stderr", "cross_talk", "passed", "metadata",
+        ]
+        (record,), _ = cli.execute([sid])
+        assert record["scenario"] == scenario.id
+        assert record["mode"] == scenario.mode
+        assert record["paper_value"] == scenario.paper_value
+        assert record["citation"] == scenario.citation
+
+
 class TestAnalyticRuns:
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
     def test_design_engine_reproduces_target(self, sid):
         res = run_scenario(build_scenario(sid), method="design")
-        assert res.passed, f"{sid}: {res.analytic} vs {res.paper_value}"
-        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert res.passed, f"{sid}: {res.analytic} vs {res.scenario.paper_value}"
+        assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.mc_estimate is None and res.mc_stderr is None
 
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
@@ -240,7 +255,7 @@ class TestAnalyticRuns:
             build_scenario("one-ref-unambiguous"), pattern1=haar.as_pattern("UV")
         )
         res = run_scenario(scenario)
-        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.cross_talk == pytest.approx(0.75, abs=1e-12)
         assert res.passed is False
 
@@ -267,7 +282,7 @@ class TestAnalyticRuns:
         assert probe.povm_report.completeness <= 1e-10
         assert probe.povm_report.min_eigenvalue["identify-1"] < -0.06
         res = run_scenario(probe)
-        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.cross_talk <= 1e-9
         assert res.passed is False
 
@@ -281,7 +296,7 @@ class TestAnalyticRuns:
             povm=Povm({"guess-1": elements["guess-2"], "guess-2": elements["guess-1"]}),
         )
         res = run_scenario(swapped)
-        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.metadata["povm_error"] == pytest.approx(7 / 8, abs=1e-12)
         assert res.passed is False
 
@@ -365,7 +380,8 @@ class TestVariants:
             reference_value("one-ref-symmetric-variant"), abs=1e-9
         )
         assert res.cross_talk <= 1e-12 and res.passed
-        assert res.citation == scenarios.reference_citation("one-ref-symmetric-variant")
+        expected = scenarios.reference_citation("one-ref-symmetric-variant")
+        assert res.scenario.citation == expected
 
     def test_ancilla_state_does_not_change_two_ref_value(self):
         for bit in ("0", "1"):
@@ -401,7 +417,7 @@ class TestVariants:
         values = scenarios.load_reference_values()["scenario_values"]
         values["two-ref-singlet"]["value"] = 0.5
         res = two_ref_singlet_with_ancilla(states.ket("0"))
-        assert res.paper_value == 0.375 and res.passed
+        assert res.scenario.paper_value == 0.375 and res.passed
 
     def test_random_guess_baseline_below_pairwise(self):
         baseline = random_pairwise_baseline()
@@ -428,7 +444,7 @@ class TestMonteCarlo:
         assert run_scenario(scenario, mc_samples=2_000, seed=3).passed
         monkeypatch.setattr(scenarios, "MC_SIGMA", 0.0)
         res = run_scenario(scenario, mc_samples=2_000, seed=3)
-        assert abs(res.analytic - res.paper_value) <= 1e-9
+        assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.mc_estimate != res.analytic and res.passed is False
 
     def test_seed_changes_the_stream(self):

@@ -50,26 +50,6 @@ class TestBell:
             states.bell("psi")
 
 
-class TestBellCombination:
-    def test_pure_singlet(self):
-        assert np.allclose(states.bell_combination(1, 0, 0, 0), states.bell("psi-"))
-
-    def test_mixture_of_two(self):
-        a = 1 / np.sqrt(2)
-        out = states.bell_combination(a, a, 0, 0)
-        expected = (states.bell("psi-") + states.bell("psi+")) / np.sqrt(2)
-        assert np.max(np.abs(out - expected)) <= 1e-12
-
-    def test_norm_violation_rejected(self):
-        with pytest.raises(ValueError):
-            states.bell_combination(1.0, 0.1, 0, 0)
-
-    @given(st.floats(0.0, 1.0))
-    def test_weights_on_sphere_accepted(self, w):
-        out = states.bell_combination(np.sqrt(w), np.sqrt(1 - w), 0, 0)
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
-
-
 class TestPairProjectors:
     def test_two_wire_traces(self):
         p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
