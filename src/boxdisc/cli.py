@@ -2,7 +2,7 @@
 
 One path leads from flags to verdict. argparse rejects unknown scenario
 ids, methods and formats; ``main`` checks what argparse cannot (sample
-count against method, seed width, node floor) and exits 2 on a usage error.
+count against method, seed width, node range) and exits 2 on a usage error.
 ``execute`` is the only loop over scenarios: it builds each distinct id once,
 in sorted order, and runs them as one batch through
 ``scenarios.run_scenarios``, which alone decides whether a scenario passed
@@ -40,6 +40,11 @@ RECORD_FIELDS = (
 #: Fixed CSV header; kept stable for downstream parsing.
 CSV_HEADER = "scenario,mode,method,analytic,paper_value,mc_estimate,mc_stderr,cross_talk,pass"
 
+#: Largest accepted --nodes. The quadrature grid holds nodes**3 SU(2)
+#: elements: at 64 nodes `--all --method quadrature` peaks near 90 MB, while
+#: 1000 nodes would need 64 GB for the grid alone.
+MAX_NODES = 64
+
 
 def _check_args(args) -> str | None:
     """Return an error message for flag values argparse cannot check, else None."""
@@ -55,6 +60,8 @@ def _check_args(args) -> str | None:
         return "--seed must fit in 64 bits"
     if args.nodes < haar.MIN_NODES:
         return f"--nodes must be at least {haar.MIN_NODES}"
+    if args.nodes > MAX_NODES:
+        return f"--nodes must be at most {MAX_NODES}"
     return None
 
 
@@ -184,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=haar.DEFAULT_NODES,
         metavar="N",
         help=(
-            f"quadrature nodes per angle, at least {haar.MIN_NODES} "
+            f"quadrature nodes per angle, from {haar.MIN_NODES} to {MAX_NODES} "
             f"(default: {haar.DEFAULT_NODES})"
         ),
     )

@@ -347,35 +347,18 @@ def build_scenario(scenario_id: str) -> Scenario:
 
 
 class _McTally:
-    """Streaming Monte Carlo figure of one scenario, fed one chunk at a time.
+    """Streaming mean and standard error of one scenario's per-sample figure.
 
-    Runs the actual circuit for both hypotheses with the same boxes and
-    scores the measurement on the resulting pure states: the equal-prior
-    success probability in unambiguous mode, the equal-prior wrong-guess
-    probability otherwise (see Povm.scored). Each hypothesis's scored
-    elements are summed into one operator, so a sample costs one quadratic
-    form per hypothesis, and a hypothesis nothing scores is not simulated.
-    The variance is accumulated from deviations from the first sample's
-    value, so a constant figure has stderr 0.
+    _mc_figures feeds it one chunk of per-sample values at a time. The
+    variance is accumulated from deviations from the first sample's value,
+    so a constant figure has stderr 0.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.scored = []
-        patterns = (scenario.pattern1, scenario.pattern2)
-        for pattern, labels in zip(patterns, scenario.povm.scored):
-            if labels:
-                elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
-                self.scored.append((pattern, 0.5 * sum(elements)))
-        self.psi = scenario.state[:, None, None]
+    def __init__(self):
         self.total = self.dev = self.dev_sq = 0.0
         self.shift = None
 
-    def add(self, m: int, gates) -> None:
-        kets = np.broadcast_to(self.psi, (len(self.psi), 1, m))
-        values = np.zeros(m)
-        for pattern, op in self.scored:
-            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
-            values += np.real(np.sum((out.conj() @ op) * out, axis=1))
+    def add(self, values: np.ndarray) -> None:
         if self.shift is None:
             self.shift = values[0]
         self.total += float(values.sum())
@@ -391,24 +374,56 @@ class _McTally:
 def _mc_figures(batch, samples: int, seed) -> list:
     """Per-sample Monte Carlo estimates of each scenario's analytic figure.
 
-    Draws one (box U, box V) pair per sample and scores every scenario of the
-    batch on it (see _McTally). Scenarios that draw the same boxes form one
-    group, and each chunk of the group's stream is drawn once and scored for
-    every member before the next chunk is drawn. A scenario's stream depends
-    only on the boxes it draws, so its figure is the same in any batch as on
-    its own. Returns one (mean, stderr) per scenario, in batch order.
+    Draws one (box U, box V) pair per sample, runs the actual circuit for
+    both hypotheses with the same boxes and scores the measurement on the
+    resulting pure states: the equal-prior success probability in
+    unambiguous mode, the equal-prior wrong-guess probability otherwise (see
+    Povm.scored). Each hypothesis's scored elements are summed into one
+    operator, so a sample costs one quadratic form per scored hypothesis,
+    and a hypothesis nothing scores is not simulated.
+
+    Scenarios that draw the same boxes form one group, and each chunk of the
+    group's stream is drawn once and scored for every member before the next
+    chunk is drawn. Within a chunk, each distinct (state, pattern) of the
+    group is simulated once (14 for the 19 scored hypotheses of the shipped
+    scenarios), and every hypothesis that uses it is scored from one
+    conjugate and one product buffer, all dropped before the next one. A
+    scenario's stream depends only on the boxes it draws, so its figure is
+    the same in any batch as on its own. Returns one (mean, stderr) per
+    scenario, in batch order.
     """
     if samples <= 0:
         raise ValueError("Monte Carlo needs samples > 0")
-    tallies = [_McTally(scenario) for scenario in batch]
     groups = {}
     for i, scenario in enumerate(batch):
         labels = scenario.pattern1.labels + scenario.pattern2.labels
-        groups.setdefault(tuple(b for b in "UV" if b in labels), []).append(i)
-    for boxes, members in groups.items():
+        members, plan = groups.setdefault(tuple(b for b in "UV" if b in labels), ([], {}))
+        members.append(i)
+        patterns = (scenario.pattern1, scenario.pattern2)
+        for pattern, scored in zip(patterns, scenario.povm.scored):
+            if scored:
+                op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
+                key = (scenario.state.tobytes(), str(pattern))
+                plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
+    tallies = [_McTally() for _ in batch]
+    for boxes, (members, plan) in groups.items():
         for m, gates in haar.draw_boxes(samples, seed, boxes):
+            values = {i: np.zeros(m) for i in members}
+            for psi, pattern, consumers in plan.values():
+                kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
+                out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
+                conj = out.conj()
+                prod = np.empty(out.shape, dtype=complex)
+                # A scenario scores at most two hypotheses, and 0 + a + b
+                # has the same bits as 0 + b + a, so the order in which its
+                # keys come up does not change its values.
+                for i, op in consumers:
+                    np.matmul(conj, op, out=prod)
+                    np.multiply(prod, out, out=prod)
+                    values[i] += np.real(np.sum(prod, axis=1))
+                del out, conj, prod
             for i in members:
-                tallies[i].add(m, gates)
+                tallies[i].add(values[i])
     return [tally.figure(samples) for tally in tallies]
 
 

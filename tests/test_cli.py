@@ -45,6 +45,19 @@ class TestArgumentValidation:
         code, _, err = run_main(capsys, "--all", "--nodes", "6")
         assert code == 2 and "nodes must be at least 7" in err
 
+    def test_too_many_nodes(self, capsys):
+        # The grid holds nodes**3 elements; past the cap the run would exhaust
+        # memory instead of failing with a usage message.
+        code, out, err = run_main(
+            capsys, "--all", "--method", "quadrature", "--nodes", str(cli.MAX_NODES + 1)
+        )
+        assert code == 2 and not out
+        assert f"nodes must be at most {cli.MAX_NODES}" in err and "usage:" in err
+
+    def test_help_names_the_node_range(self, capsys):
+        code, out, _ = run_main(capsys, "--help")
+        assert code == 0 and f"from {haar.MIN_NODES} to {cli.MAX_NODES}" in " ".join(out.split())
+
     def test_unknown_format_rejected_by_argparse(self, capsys):
         code, _, _ = run_main(capsys, "--all", "--format", "xml")
         assert code == 2

@@ -420,6 +420,15 @@ class TestMonteCarloKernel:
                 _mc_figure_samples_first(scenario, samples, seed)
             )
 
+    @pytest.mark.parametrize("samples, seed", ((5000, 7), (2 * haar._CHUNK + 1, 3)))
+    def test_batch_figures_match_samples_first_scorer_bits(self, samples, seed):
+        # Each scenario is scored on its own here, so a figure that read a
+        # product buffer another scenario of the batch overwrote would differ.
+        batch = [scenarios.build_scenario(sid) for sid in scenarios.SCENARIO_IDS]
+        figures = scenarios._mc_figures(batch, samples, seed)
+        for scenario, figure in zip(batch, figures):
+            assert figure == _mc_figure_samples_first(scenario, samples, seed), scenario.id
+
     def test_chunked_draw_keeps_stream(self, monkeypatch):
         whole = list(haar.draw_boxes(10, 8, "UV"))
         monkeypatch.setattr(haar, "_CHUNK", 3)

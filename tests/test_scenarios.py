@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +485,42 @@ class TestMonteCarlo:
         ]
         together = _mc_figures(batch, samples, 13)
         assert together == [_mc_figures((s,), samples, 13)[0] for s in batch]
+
+    @pytest.mark.parametrize(
+        "ids, per_chunk",
+        ((SCENARIO_IDS, 14), (("pair-same-unambiguous",), 2)),
+        ids=("all", "pair-same-unambiguous"),
+    )
+    def test_one_simulation_per_state_and_pattern(self, monkeypatch, ids, per_chunk):
+        # The 11 shipped scenarios score 19 hypotheses on 14 distinct
+        # (state, pattern) pairs; each pair is simulated once per chunk.
+        calls = []
+        apply_boxes = haar.apply_boxes
+
+        def counted(*args):
+            calls.append(args[1])
+            return apply_boxes(*args)
+
+        monkeypatch.setattr(haar, "apply_boxes", counted)
+        batch = [build_scenario(sid) for sid in ids]
+        for samples, chunks in ((5000, 2), (haar._CHUNK, 1)):
+            calls.clear()
+            _mc_figures(batch, samples, 7)
+            assert len(calls) == chunks * per_chunk, sorted(map(str, calls))
+
+    def test_memory_does_not_grow_with_samples(self):
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS]
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                _mc_figures(batch, samples, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(haar._CHUNK)
+        assert peak(3 * haar._CHUNK) <= 1.1 * peak(haar._CHUNK)
 
 
 def _mc_figure_reference(scenario, samples, seed):
