@@ -33,12 +33,14 @@ product on the operator with the label's wires moved to the front.
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
 draws seeded chunks of gate stacks, at most _CHUNK samples at a time for any
-sample count, and apply_boxes puts them on a batch of kets or operator
-columns one wire at a time, so the full 2**n x 2**n W is never built. A
-scenario run draws each chunk once and scores every scenario of the run on
-it. The batch has shape (d, r, m), samples last: every product then runs
-over contiguous rows of m samples instead of over the r = 1 entries of a
-ket. An operator average W x W+ is two such passes, W x and then W (W x)+.
+sample count, and apply_boxes puts them on a batch of kets one wire at a
+time, so the full 2**n x 2**n W is never built. A scenario run draws each
+chunk once and scores every scenario of the run on it. The batch has shape
+(d, r, m), samples last: every product then runs over contiguous rows of m
+samples instead of over the r = 1 entries of a ket. An operator average
+takes x as a factor pair a b+ with r columns each and forms W x W+ as
+(W a)(W b)+: a density |psi><psi| is one ket per sample, and twirl_operator
+factors x into its nonzero columns times the matching identity columns.
 """
 
 from __future__ import annotations
@@ -344,24 +346,35 @@ def apply_boxes(batch: np.ndarray, pattern, gates) -> np.ndarray:
     return out.reshape(d, r, m)
 
 
-def _mc_operator_average(x, pattern, samples, seed):
-    """Monte Carlo average of W x W+ with streaming moment accumulators.
+def _mc_operator_average(a, b, pattern, samples, seed):
+    """Monte Carlo average of W x W+ for x = a b+, with a and b of shape (d, r).
 
-    Two passes of apply_boxes give W (W x)+ = (W x W+)+ per sample, so the
-    sums are conjugate-transposed once at the end. Deviations from x are
-    accumulated: an all-idle pattern then returns x with stderr 0.
+    Per chunk apply_boxes pushes the r columns of a through the boxes, and
+    those of b unless b is a, so a density |psi><psi| costs one ket per
+    sample. Each sample's W x W+ is then (W a)(W b)+, a sum of r outer
+    products. Deviations from x are accumulated in streaming moment sums:
+    an all-idle pattern then returns x with stderr 0.
     """
-    dim = x.shape[0]
-    x_h = x.conj().T
-    total = np.zeros((dim, dim), dtype=complex)
-    total_sq = np.zeros((dim, dim), dtype=float)
+    if samples < 2:
+        raise ValueError("monte_carlo needs samples >= 2: one sample has no error bar")
+    d, r = a.shape
+    x = a @ b.conj().T
+    total = np.zeros((d, d), dtype=complex)
+    total_sq = np.zeros((d, d), dtype=float)
     for m, gates in draw_boxes(samples, seed, pattern.labels):
-        wx = apply_boxes(np.broadcast_to(x[..., None], (dim, dim, m)), pattern, gates)
-        y = apply_boxes(wx.conj().transpose(1, 0, 2), pattern, gates) - x_h[..., None]
+        wa = apply_boxes(np.broadcast_to(a[..., None], (d, r, m)), pattern, gates)
+        wb = wa if b is a else apply_boxes(np.broadcast_to(b[..., None], wa.shape), pattern, gates)
+        wb = wb.conj()
+        y = wa[:, None, 0] * wb[None, :, 0]
+        for k in range(1, r):
+            y += wa[:, None, k] * wb[None, :, k]
+        y -= x[..., None]
         total += y.sum(axis=-1)
-        total_sq += (np.abs(y) ** 2).sum(axis=-1)
-    shift = total.conj().T / samples
-    var = np.maximum(total_sq.T / samples - np.abs(shift) ** 2, 0.0)
+        # Real and imaginary parts side by side: sum |y|**2 over the samples.
+        parts = y.view(float)
+        total_sq += np.einsum("ijm,ijm->ij", parts, parts)
+    shift = total / samples
+    var = np.maximum(total_sq / samples - np.abs(shift) ** 2, 0.0)
     stderr = float(np.max(np.sqrt(var / samples)))
     return x + shift, stderr
 
@@ -379,7 +392,8 @@ def twirl_operator(
 
     The exact engines average one label after the other; the boxes are
     independent, so the order is immaterial. Monte Carlo draws joint samples
-    instead, seeded by ``seed`` (an int or a SeedSequence).
+    instead, at least two, seeded by ``seed`` (an int or a SeedSequence),
+    and pushes only the nonzero columns of x through the boxes.
 
     Returns
     -------
@@ -403,9 +417,10 @@ def twirl_operator(
         terms = len(clifford_group()) if method == "design" else nodes**3
         return x, terms, 0.0
     if method == "monte_carlo":
-        if samples <= 0:
-            raise ValueError("monte_carlo needs samples > 0")
-        mean, stderr = _mc_operator_average(x, pattern, samples, seed)
+        # x = x[:, cols] I[:, cols]+ exactly; a zero x keeps one zero column.
+        cols = np.flatnonzero(x.any(axis=0)) if x.any() else [0]
+        eye = np.eye(2**n, dtype=complex)
+        mean, stderr = _mc_operator_average(x[:, cols], eye[:, cols], pattern, samples, seed)
         return mean, samples, stderr
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
@@ -421,6 +436,7 @@ def average_pattern(
 ) -> AverageResult:
     """Average |psi><psi| under a box pattern with the chosen engine.
 
+    Monte Carlo pushes psi itself through the boxes, one ket per sample.
     Every engine forms a convex combination of pure-state projectors (the
     quadrature weights are nonnegative), so the output is validated against
     the full density-matrix contract before it is returned.
@@ -430,14 +446,14 @@ def average_pattern(
     if psi.shape != (2 ** len(pattern),):
         raise ValueError(f"state length {psi.shape} does not match pattern {pattern}")
     states.assert_normalized(psi)
-    rho, count, stderr = twirl_operator(
-        states.density(psi),
-        pattern,
-        method,
-        nodes=nodes,
-        samples=samples,
-        seed=seed,
-    )
+    if method == "monte_carlo":
+        ket = psi[:, None]
+        rho, stderr = _mc_operator_average(ket, ket, pattern, samples, seed)
+        count = samples
+    else:
+        rho, count, stderr = twirl_operator(
+            states.density(psi), pattern, method, nodes=nodes, samples=samples, seed=seed
+        )
     states.check_density(rho)
     return AverageResult(rho, method, count, stderr)
 

@@ -438,9 +438,10 @@ def run_scenarios(
     """Average, score, and compare each scenario against its reference value.
 
     method selects the deterministic engine for the analytic figure,
-    "design" or "quadrature". mc_samples > 0 adds the sampled cross-check
-    under either engine, one _mc_figures call for the whole batch, so the
-    batch shares one draw per chunk. Both hypotheses carry prior 1/2. The
+    "design" or "quadrature". mc_samples 0 skips the sampled cross-check,
+    and mc_samples >= 2 adds it under either engine (one sample has no
+    error bar), one _mc_figures call for the whole batch, so the batch
+    shares one draw per chunk. Both hypotheses carry prior 1/2. The
     mode picks the figure and its own gate: cross_talk at most
     CROSS_TALK_TOL in unambiguous mode, the POVM's error equal to the
     Helstrom bound within PASS_TOL in minimum-error mode. passed is one
@@ -453,6 +454,10 @@ def run_scenarios(
     """
     if method not in ("design", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    if mc_samples < 0 or mc_samples == 1:
+        raise ValueError(
+            f"mc_samples must be 0 or at least 2, got {mc_samples}: one sample has no error bar"
+        )
     batch = tuple(batch)
     if mc_samples > 0:
         figures = _mc_figures(batch, mc_samples, seed)

@@ -168,6 +168,10 @@ class TestAveragePattern:
         with pytest.raises(ValueError):
             average_pattern(states.bell("psi-"), "UU", "monte_carlo")
 
+    def test_monte_carlo_rejects_one_sample(self):
+        with pytest.raises(ValueError, match="one sample has no error bar"):
+            average_pattern(states.bell("psi-"), "UV", "monte_carlo", samples=1)
+
 
 class TestEngineAgreement:
     # Runs at the default node count keep the bare pattern as their id.
@@ -372,6 +376,73 @@ class TestMonteCarloKernel:
         assert np.max(np.abs(mean - _kron_reference(x, "II", 9, 5))) <= 1e-12
         assert np.array_equal(mean, x) and count == 9 and stderr == 0.0
 
+    def test_four_wire_density_matches_kron(self):
+        scenario = scenarios.build_scenario("two-ref-4q-subspace")
+        psi, pattern = scenario.state, scenario.pattern1
+        res = average_pattern(psi, pattern, "monte_carlo", samples=37, seed=5)
+        reference = _kron_reference(states.density(psi), str(pattern), 37, 5)
+        assert res.samples == 37 and res.stderr_bound > 0
+        assert np.max(np.abs(res.rho - reference)) <= 1e-12
+
+    def test_identity_suite_operators_match_kron(self, monkeypatch):
+        calls = []
+        twirl = haar.twirl_operator
+
+        def recorded(x, pattern, method, **kwargs):
+            out = twirl(x, pattern, method, **kwargs)
+            calls.append((x, pattern, kwargs["samples"], kwargs["seed"], out))
+            return out
+
+        monkeypatch.setattr(haar, "twirl_operator", recorded)
+        haar.twirl_identity_suite(("monte_carlo",), samples=37, seed=5)
+        assert len(calls) == 6
+        for x, pattern, samples, seed, (mean, count, stderr) in calls:
+            reference = _kron_reference(x, pattern, samples, seed)
+            assert count == 37 and np.max(np.abs(mean - reference)) <= 1e-12, pattern
+
+    def test_all_idle_density_is_exact(self):
+        psi = states.four_qubit_test_state()
+        res = average_pattern(psi, "IIII", "monte_carlo", samples=9, seed=5)
+        assert np.array_equal(res.rho, states.density(psi))
+        assert res.samples == 9 and res.stderr_bound == 0.0
+
+    def test_rank_one_averages_simulate_one_ket_per_sample(self, monkeypatch):
+        # |psi><psi| and each identity-suite operator x = |a><b| go through
+        # the boxes as one column, never as the d columns of x.
+        shapes = []
+        apply_boxes = haar.apply_boxes
+
+        def recorded(batch, pattern, gates):
+            shapes.append(batch.shape)
+            return apply_boxes(batch, pattern, gates)
+
+        monkeypatch.setattr(haar, "apply_boxes", recorded)
+        scenario = scenarios.build_scenario("order-uv-refs")
+        average_pattern(scenario.state, scenario.pattern1, "monte_carlo", samples=50, seed=1)
+        assert shapes == [(16, 1, 50)]
+        shapes.clear()
+        haar.twirl_identity_suite(("monte_carlo",), samples=50, seed=1)
+        # Each case pushes its one nonzero column and the matching identity
+        # column.
+        assert shapes == [(d, 1, 50) for d in (2, 2, 2, 4, 4, 4) for _ in "ab"]
+
+    def test_operator_average_memory_is_one_sample_buffer(self):
+        scenario = scenarios.build_scenario("order-uv-refs")
+        d, m = len(scenario.state), haar._CHUNK
+
+        def peak():
+            tracemalloc.start()
+            try:
+                average_pattern(scenario.state, scenario.pattern1, "monte_carlo", samples=m, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()
+        # One (d, d, m) complex buffer of per-sample deviations is the unit;
+        # the kets and gates of the chunk fit in half a unit more.
+        assert peak() <= 1.5 * d * d * m * 16
+
     def test_apply_boxes_on_kets_matches_kron(self):
         rng = np.random.default_rng(23)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -405,8 +476,7 @@ class TestMonteCarloKernel:
         x = rng.normal(size=(16, 16, m)) + 1j * rng.normal(size=(16, 16, m))
         for pattern in sorted(patterns, key=str):
             d = 2 ** len(pattern)
-            # A strided, transposed batch, as in the second pass of the
-            # operator average.
+            # A strided, transposed batch: apply_boxes takes any view.
             batch = x[:d, :d].transpose(1, 0, 2)
             old = _apply_boxes_samples_first(batch.transpose(2, 0, 1), pattern, gates)
             out = haar.apply_boxes(batch, pattern, gates)
@@ -478,3 +548,7 @@ class TestTwirlIdentitySuite:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             haar.twirl_identity_suite(methods=("magic",))
+
+    def test_monte_carlo_rejects_one_sample(self):
+        with pytest.raises(ValueError, match="one sample has no error bar"):
+            haar.twirl_identity_suite(("monte_carlo",), samples=1)

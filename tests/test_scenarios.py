@@ -448,6 +448,13 @@ class TestMonteCarlo:
         assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.mc_estimate != res.analytic and res.passed is False
 
+    @pytest.mark.parametrize("samples", (1, -5))
+    def test_rejects_samples_without_error_bar(self, samples):
+        # A negative count would skip the cross-check silently, and one
+        # sample would fail it with a standard error of 0.
+        with pytest.raises(ValueError, match="one sample has no error bar"):
+            scenarios.run_scenarios([build_scenario("one-ref-minerror")], mc_samples=samples)
+
     def test_seed_changes_the_stream(self):
         scenario = build_scenario("one-ref-minerror")
         r1 = run_scenario(scenario, mc_samples=5_000, seed=1)
