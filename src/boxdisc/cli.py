@@ -2,11 +2,13 @@
 
 One path leads from flags to verdict. argparse rejects unknown scenario
 ids, methods and formats; ``main`` checks what argparse cannot (sample
-count against method, seed width, node range) and exits 2 on a usage error.
-``execute`` is the only loop over scenarios: it builds each distinct id once,
-in sorted order, and runs them as one batch through
-``scenarios.run_scenarios``, which alone decides whether a scenario passed
-and draws the Monte Carlo samples once for the whole batch.
+count against method, seed width, node range from ``haar.MIN_NODES`` to
+``haar.MAX_NODES``) and exits 2 on a usage error. The parser is built once
+per process and shared by every ``main`` call. ``execute`` is the only loop
+over scenarios: it builds each distinct id once, in sorted order, and runs
+them as one batch through ``scenarios.run_scenarios``, which alone decides
+whether a scenario passed, averages each distinct (state, pattern) once and
+draws the Monte Carlo samples once for the whole batch.
 
 Output goes to stdout in one of three formats; a one-line summary goes to
 stderr. Numeric fields are printed with 12 significant digits, but pass/fail
@@ -40,11 +42,6 @@ RECORD_FIELDS = (
 #: Fixed CSV header; kept stable for downstream parsing.
 CSV_HEADER = "scenario,mode,method,analytic,paper_value,mc_estimate,mc_stderr,cross_talk,pass"
 
-#: Largest accepted --nodes. The quadrature grid holds nodes**3 SU(2)
-#: elements: at 64 nodes `--all --method quadrature` peaks near 90 MB, while
-#: 1000 nodes would need 64 GB for the grid alone.
-MAX_NODES = 64
-
 
 def _check_args(args) -> str | None:
     """Return an error message for flag values argparse cannot check, else None."""
@@ -60,8 +57,8 @@ def _check_args(args) -> str | None:
         return "--seed must fit in 64 bits"
     if args.nodes < haar.MIN_NODES:
         return f"--nodes must be at least {haar.MIN_NODES}"
-    if args.nodes > MAX_NODES:
-        return f"--nodes must be at most {MAX_NODES}"
+    if args.nodes > haar.MAX_NODES:
+        return f"--nodes must be at most {haar.MAX_NODES}"
     return None
 
 
@@ -154,7 +151,12 @@ def render_table(records) -> str:
 _RENDERERS = {"json": render_json, "csv": render_csv, "table": render_table}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after.
+
+    It depends on no argument, and parse_args leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="boxdisc",
         description=(
@@ -191,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=haar.DEFAULT_NODES,
         metavar="N",
         help=(
-            f"quadrature nodes per angle, from {haar.MIN_NODES} to {MAX_NODES} "
+            f"quadrature nodes per angle, from {haar.MIN_NODES} to {haar.MAX_NODES} "
             f"(default: {haar.DEFAULT_NODES})"
         ),
     )

@@ -30,7 +30,6 @@ __all__ = [
     "outcome_probs",
     "helstrom",
     "unambiguous_eval",
-    "jordan_bases",
     "unambiguous_subspace_povm",
 ]
 
@@ -264,19 +263,6 @@ def _principal_vectors(s1: Subspace, s2: Subspace):
         return s1.basis, s2.basis, np.zeros(0)
     left, cosines, right_h = np.linalg.svd(s1.basis.conj().T @ s2.basis)
     return s1.basis @ left, s2.basis @ right_h.conj().T, np.clip(cosines, 0.0, 1.0)
-
-
-def jordan_bases(s1: Subspace, s2: Subspace) -> list:
-    """Principal vector pairs of two subspaces with their overlap cosines.
-
-    Returns [(u_i, v_i, cos_i), ...] sorted by descending cosine, where the
-    u_i are an orthonormal basis of (part of) s1, the v_i of s2, and
-    <u_i|v_j> = cos_i * delta_ij. Cosine 1 marks a shared direction, cosine 0
-    an orthogonal pair. Unpaired directions (when the dimensions differ) are
-    not returned here; the POVM construction handles them internally.
-    """
-    u, v, cosines = _principal_vectors(s1, s2)
-    return [(u[:, i].copy(), v[:, i].copy(), float(c)) for i, c in enumerate(cosines)]
 
 
 def _pair_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray, c: float) -> float:

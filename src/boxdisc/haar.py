@@ -60,6 +60,11 @@ DESIGN_COPY_LIMIT = 3
 #: DESIGN_COPY_LIMIT copies (see _quadrature_elements).
 MIN_NODES = 2 * DESIGN_COPY_LIMIT + 1
 
+#: Most quadrature nodes per angle. The grid holds nodes**3 SU(2) elements:
+#: at 64 nodes `--all --method quadrature` peaks near 90 MB, while 1000 nodes
+#: would need 64 GB for the grid alone.
+MAX_NODES = 64
+
 #: Default node count per angle for the quadrature engine. Any count from
 #: MIN_NODES on is exact up to rounding; the 24**3 grid points of the default
 #: cost more only in the one-time build of each channel.
@@ -407,9 +412,9 @@ def twirl_operator(
     if x.shape != (2**n, 2**n):
         raise ValueError(f"operator shape {x.shape} does not match pattern {pattern}")
     if method in ("design", "quadrature"):
-        if method == "quadrature" and nodes < MIN_NODES:
+        if method == "quadrature" and not MIN_NODES <= nodes <= MAX_NODES:
             raise ValueError(
-                f"quadrature needs at least {MIN_NODES} nodes per angle, got {nodes}"
+                f"quadrature takes {MIN_NODES} to {MAX_NODES} nodes per angle, got {nodes}"
             )
         rule_nodes = nodes if method == "quadrature" else None
         for label in ("U", "V"):

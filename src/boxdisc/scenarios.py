@@ -14,11 +14,12 @@ engine, scores the measurement, and optionally cross-checks the figure with
 a per-sample Monte Carlo simulation of the actual experiment.
 
 run_scenarios is the only scorer; run_scenario runs a batch of one. A batch
-shares its Monte Carlo draw: each chunk of samples is drawn once and scored
-for every scenario of the batch that uses the same boxes. The auxiliary
-figures (another input, another ancilla, the coin-flip pairwise baseline)
-are dataclasses.replace variants of a shipped scenario; a variant whose id
-names an auxiliary fixture entry is checked against that entry.
+averages each distinct (state, pattern) once, and it shares its Monte Carlo
+draw: each chunk of samples is drawn once and scored for every scenario of
+the batch that uses the same boxes. The auxiliary figures (another input,
+another ancilla, the coin-flip pairwise baseline) are dataclasses.replace
+variants of a shipped scenario; a variant whose id names an auxiliary
+fixture entry is checked against that entry.
 singlet_weight_scan sweeps the one-reference test state against noise.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
@@ -346,6 +347,15 @@ def build_scenario(scenario_id: str) -> Scenario:
     return builder()
 
 
+def _hypothesis_key(state: np.ndarray, pattern: BoxPattern) -> tuple:
+    """Key of one hypothesis: hypotheses with equal keys average alike.
+
+    run_scenarios averages, and _mc_figures simulates, each key of a batch
+    once.
+    """
+    return state.tobytes(), str(pattern)
+
+
 class _McTally:
     """Streaming mean and standard error of one scenario's per-sample figure.
 
@@ -403,7 +413,7 @@ def _mc_figures(batch, samples: int, seed) -> list:
         for pattern, scored in zip(patterns, scenario.povm.scored):
             if scored:
                 op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
-                key = (scenario.state.tobytes(), str(pattern))
+                key = _hypothesis_key(scenario.state, pattern)
                 plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
     tallies = [_McTally() for _ in batch]
     for boxes, (members, plan) in groups.items():
@@ -449,8 +459,12 @@ def run_scenarios(
     analytic figure within PASS_TOL of the reference, the mode's gate and,
     when sampled, the Monte Carlo estimate within MC_SIGMA standard errors
     of the analytic figure. The gates read PASS_TOL, CROSS_TALK_TOL and
-    MC_SIGMA at call time. Returns one ScenarioResult per scenario, in batch
-    order.
+    MC_SIGMA at call time. Each distinct (state, pattern) of the batch is
+    averaged once and scored for every scenario that uses it: 16 averages
+    for the 22 hypotheses of the shipped scenarios, whose unambiguous and
+    minimum-error variants share their state and both patterns. A figure
+    is the same in any batch as on its own. Returns one ScenarioResult per
+    scenario, in batch order.
     """
     if method not in ("design", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -463,12 +477,21 @@ def run_scenarios(
         figures = _mc_figures(batch, mc_samples, seed)
     else:
         figures = [(None, None)] * len(batch)
+    averages = {}
+    for scenario in batch:
+        for pattern in (scenario.pattern1, scenario.pattern2):
+            key = _hypothesis_key(scenario.state, pattern)
+            if key not in averages:
+                average = haar.average_pattern(scenario.state, pattern, method, nodes=nodes)
+                averages[key] = average.rho
     results = []
     for scenario, (mc_estimate, mc_stderr) in zip(batch, figures):
-        r1 = haar.average_pattern(scenario.state, scenario.pattern1, method, nodes=nodes)
-        r2 = haar.average_pattern(scenario.state, scenario.pattern2, method, nodes=nodes)
+        rhos = [
+            averages[_hypothesis_key(scenario.state, pattern)]
+            for pattern in (scenario.pattern1, scenario.pattern2)
+        ]
         if scenario.mode == "unambiguous":
-            ev = unambiguous_eval(scenario.povm, [r1.rho, r2.rho])
+            ev = unambiguous_eval(scenario.povm, rhos)
             analytic = ev.p_success
             cross_talk = ev.cross_talk
             metadata = {
@@ -477,9 +500,9 @@ def run_scenarios(
             }
             mode_gate = cross_talk <= CROSS_TALK_TOL
         else:
-            analytic = helstrom(r1.rho, r2.rho).p_error
+            analytic = helstrom(*rhos).p_error
             cross_talk = None
-            probs = (outcome_probs(scenario.povm, r.rho) for r in (r1, r2))
+            probs = (outcome_probs(scenario.povm, rho) for rho in rhos)
             wrong = [sum(p[l] for l in labels) for p, labels in zip(probs, scenario.povm.scored)]
             povm_error = float(0.5 * sum(wrong))
             metadata = {"povm_error": povm_error}

@@ -49,18 +49,45 @@ class TestArgumentValidation:
         # The grid holds nodes**3 elements; past the cap the run would exhaust
         # memory instead of failing with a usage message.
         code, out, err = run_main(
-            capsys, "--all", "--method", "quadrature", "--nodes", str(cli.MAX_NODES + 1)
+            capsys, "--all", "--method", "quadrature", "--nodes", str(haar.MAX_NODES + 1)
         )
         assert code == 2 and not out
-        assert f"nodes must be at most {cli.MAX_NODES}" in err and "usage:" in err
+        assert f"nodes must be at most {haar.MAX_NODES}" in err and "usage:" in err
 
     def test_help_names_the_node_range(self, capsys):
         code, out, _ = run_main(capsys, "--help")
-        assert code == 0 and f"from {haar.MIN_NODES} to {cli.MAX_NODES}" in " ".join(out.split())
+        assert code == 0 and f"from {haar.MIN_NODES} to {haar.MAX_NODES}" in " ".join(out.split())
 
     def test_unknown_format_rejected_by_argparse(self, capsys):
         code, _, _ = run_main(capsys, "--all", "--format", "xml")
         assert code == 2
+
+
+class TestParserReuse:
+    """main shares one parser between calls; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_consecutive_calls_keep_their_own_selection(self, capsys):
+        code, out, _ = run_main(capsys, "--scenario", "one-ref-minerror", "--format", "json")
+        assert code == 0 and [rec["scenario"] for rec in json.loads(out)] == ["one-ref-minerror"]
+        code, out, _ = run_main(capsys, "--scenario", "order-uv-refs", "--format", "json")
+        assert code == 0 and [rec["scenario"] for rec in json.loads(out)] == ["order-uv-refs"]
+
+    def test_format_switches_between_calls(self, capsys):
+        argv = ("--scenario", "two-ref-singlet", "--format")
+        _, out, _ = run_main(capsys, *argv, "csv")
+        assert out.splitlines()[0] == cli.CSV_HEADER
+        _, out, _ = run_main(capsys, *argv, "json")
+        assert json.loads(out)[0]["scenario"] == "two-ref-singlet"
+        _, out, _ = run_main(capsys, "--scenario", "two-ref-singlet")
+        assert out.splitlines()[0].split() == list(cli.RECORD_FIELDS)
+
+    def test_help_after_a_run_names_the_node_range(self, capsys):
+        run_main(capsys, "--scenario", "one-ref-minerror", "--nodes", "9")
+        code, out, _ = run_main(capsys, "--help")
+        assert code == 0 and "from 7 to 64" in " ".join(out.split())
 
 
 class TestListFlag:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from boxdisc import discrimination, linalg, states
 from boxdisc.discrimination import (
     Povm,
+    _principal_vectors,
     helstrom,
-    jordan_bases,
     outcome_probs,
     unambiguous_eval,
     unambiguous_subspace_povm,
@@ -188,40 +188,41 @@ def one_dim_subspace(vec):
 
 
 class TestJordanBases:
+    """Principal vector pairs of two subspaces, from _principal_vectors."""
+
     def test_orthogonal_lines(self):
         s1 = one_dim_subspace([1, 0])
         s2 = one_dim_subspace([0, 1])
-        (u, v, c), = jordan_bases(s1, s2)
+        _, _, (c,) = _principal_vectors(s1, s2)
         assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_lines(self):
         s = one_dim_subspace([1, 1])
-        (u, v, c), = jordan_bases(s, s)
+        _, _, (c,) = _principal_vectors(s, s)
         assert c == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(0.05, np.pi / 2 - 0.05))
     def test_plane_angle_recovered(self, angle):
         s1 = one_dim_subspace([1, 0])
         s2 = one_dim_subspace([np.cos(angle), np.sin(angle)])
-        (_, _, c), = jordan_bases(s1, s2)
+        _, _, (c,) = _principal_vectors(s1, s2)
         assert c == pytest.approx(np.cos(angle), abs=1e-12)
 
     def test_cosines_descending_and_vectors_paired(self):
         rng = np.random.default_rng(8)
         a = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
         b = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
-        pairs = jordan_bases(Subspace(a), Subspace(b))
-        cosines = [c for _, _, c in pairs]
+        u, v, cosines = _principal_vectors(Subspace(a), Subspace(b))
         assert all(x >= y - 1e-12 for x, y in zip(cosines, cosines[1:]))
-        for i, (u, v, c) in enumerate(pairs):
-            assert abs(abs(np.vdot(u, v)) - c) <= 1e-10
-            for j, (u2, v2, _) in enumerate(pairs):
+        for i, c in enumerate(cosines):
+            assert abs(abs(np.vdot(u[:, i], v[:, i])) - c) <= 1e-10
+            for j in range(len(cosines)):
                 if i != j:
-                    assert abs(np.vdot(u, v2)) <= 1e-10
+                    assert abs(np.vdot(u[:, i], v[:, j])) <= 1e-10
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            jordan_bases(one_dim_subspace([1, 0]), one_dim_subspace([1, 0, 0, 0]))
+            _principal_vectors(one_dim_subspace([1, 0]), one_dim_subspace([1, 0, 0, 0]))
 
     def test_branch_triples_share_exactly_one_direction(self):
         # Three-dimensional pieces of the two four-wire supports: each triple
@@ -251,8 +252,7 @@ class TestJordanBases:
                 second_branch(states.bell("psi+"), e0),
             ]
         )
-        pairs = jordan_bases(Subspace(u_cols), Subspace(v_cols))
-        cosines = [c for _, _, c in pairs]
+        _, _, cosines = _principal_vectors(Subspace(u_cols), Subspace(v_cols))
         assert sum(1 for c in cosines if c >= 1 - 1e-9) == 1
         assert all(c < 1 - 1e-6 for c in cosines[1:])
 
@@ -320,7 +320,7 @@ class TestUnambiguousSubspacePovm:
         a = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
         b = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
         s1, s2 = Subspace(a), Subspace(b)
-        cosines = [c for _, _, c in jordan_bases(s1, s2)]
+        _, _, cosines = _principal_vectors(s1, s2)
         assume(all(c < 1 - 1e-6 for c in cosines))
         povm = unambiguous_subspace_povm(s1, s2)
         assert validate_povm(povm).valid

@@ -197,6 +197,20 @@ class TestEngineAgreement:
         with pytest.raises(ValueError, match="nodes"):
             average_pattern(states.bell("psi-"), "UU", "quadrature", nodes=6)
 
+    def test_quadrature_above_node_ceiling_rejected(self, monkeypatch):
+        # The grid holds nodes**3 elements, so the ceiling is checked before
+        # any grid is built.
+        def no_grid(nodes):
+            raise AssertionError(f"grid built for {nodes} nodes")
+
+        monkeypatch.setattr(haar, "_quadrature_elements", no_grid)
+        psi = states.bell("psi-")
+        message = f"{haar.MIN_NODES} to {haar.MAX_NODES} nodes per angle, got 65"
+        with pytest.raises(ValueError, match=message):
+            twirl_operator(states.density(psi), "UU", "quadrature", nodes=65)
+        with pytest.raises(ValueError, match=message):
+            average_pattern(psi, "UU", "quadrature", nodes=65)
+
     def test_cached_channels_stable_and_read_only(self):
         x = states.density(states.approx_double_singlet_3q())
         first, _, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)

@@ -71,8 +71,10 @@ def _subspace_jordan_cosines() -> list:
     scenario = build_scenario("two-ref-4q-subspace")
     r1 = haar.average_pattern(scenario.state, scenario.pattern1).rho
     r2 = haar.average_pattern(scenario.state, scenario.pattern2).rho
-    pairs = discrimination.jordan_bases(linalg.range_basis(r1), linalg.range_basis(r2))
-    return [c for _, _, c in pairs]
+    _, _, cosines = discrimination._principal_vectors(
+        linalg.range_basis(r1), linalg.range_basis(r2)
+    )
+    return [float(c) for c in cosines]
 
 
 def _subspace_pair_weight() -> np.ndarray:
@@ -333,6 +335,55 @@ class TestAnalyticRuns:
                 run_scenario(
                     build_scenario("one-ref-unambiguous"), method="monte_carlo", mc_samples=samples
                 )
+
+
+def _hex_figures(result) -> dict:
+    """analytic, cross_talk and every metadata value of a result, as float.hex."""
+
+    def hexed(value):
+        if isinstance(value, list):
+            return [float(v).hex() for v in value]
+        return None if value is None else float(value).hex()
+
+    figures = {"analytic": result.analytic, "cross_talk": result.cross_talk}
+    return {key: hexed(value) for key, value in {**figures, **result.metadata}.items()}
+
+
+#: Exact engines with the node count each runs at below.
+_EXACT_ENGINES = (("design", haar.DEFAULT_NODES), ("quadrature", 7))
+
+
+class TestAveragesPerBatch:
+    @pytest.mark.parametrize("mc_samples", (0, 200))
+    @pytest.mark.parametrize("method, nodes", _EXACT_ENGINES)
+    def test_one_average_per_state_and_pattern(self, monkeypatch, method, nodes, mc_samples):
+        # The 11 shipped scenarios name 22 hypotheses on 16 distinct
+        # (state, pattern) pairs: each unambiguous/minimum-error pair of
+        # scenarios shares its state and both patterns. Two builders average
+        # too, so the batch is built before counting starts.
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS]
+        calls = []
+        average_pattern = haar.average_pattern
+
+        def counted(psi, pattern, *args, **kwargs):
+            calls.append(str(pattern))
+            return average_pattern(psi, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(haar, "average_pattern", counted)
+        scenarios.run_scenarios(batch, method, mc_samples, 5, nodes=nodes)
+        assert len(calls) == 16, calls
+
+    @pytest.mark.parametrize("method, nodes", _EXACT_ENGINES)
+    def test_batch_figures_equal_solo_figures(self, method, nodes):
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS]
+        together = scenarios.run_scenarios(batch, method, nodes=nodes)
+        for scenario, result in zip(batch, together):
+            alone = run_scenario(scenario, method, nodes=nodes)
+            assert _hex_figures(alone) == _hex_figures(result), scenario.id
+
+    def test_library_rejects_nodes_above_the_ceiling(self):
+        with pytest.raises(ValueError, match=f"to {haar.MAX_NODES} nodes per angle, got 65"):
+            run_scenario(build_scenario("one-ref-unambiguous"), "quadrature", nodes=65)
 
 
 class TestOrderUvStructure:
