@@ -37,10 +37,11 @@ sample count, and apply_boxes puts them on a batch of kets one wire at a
 time, so the full 2**n x 2**n W is never built. A scenario run draws each
 chunk once and scores every scenario of the run on it. The batch has shape
 (d, r, m), samples last: every product then runs over contiguous rows of m
-samples instead of over the r = 1 entries of a ket. An operator average
-takes x as a factor pair a b+ with r columns each and forms W x W+ as
-(W a)(W b)+: a density |psi><psi| is one ket per sample, and twirl_operator
-factors x into its nonzero columns times the matching identity columns.
+samples instead of over the r = 1 entries of a ket. The one Monte Carlo
+operator average takes x as a factor pair a b+ with r columns each and forms
+W x W+ as (W a)(W b)+: average_pattern passes a density |psi><psi| as one
+ket per sample, and twirl_identity_suite passes each rank-one |a><b| as its
+two kets. twirl_operator is the exact twirl only.
 """
 
 from __future__ import annotations
@@ -167,41 +168,30 @@ def _quaternions_to_su2(q: np.ndarray) -> np.ndarray:
 def clifford_group():
     """The 24 single-qubit Clifford elements, one per global-phase class.
 
-    Generated by closing {H, S} under multiplication. Deduplication happens
-    on a phase-canonicalized rounded key, but the stored matrices are the
-    raw products: rounding the group elements themselves would inject ~1e-9
-    errors into every average built from them. Built once per process and
-    returned as the same tuple after.
+    Generated by closing {H, S} under multiplication, breadth first, keeping
+    the raw products. A product is new unless it equals a stored element up
+    to phase, that is |tr(e+ w)| = 2; two distinct elements overlap by at
+    most sqrt(2), so the test |tr(e+ w)| < 1.9 needs no rounding. Built once
+    per process and returned as the same tuple after.
     """
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-    def key(u):
-        flat = u.reshape(-1)
-        # Every element has an entry of magnitude 1 or 1/sqrt(2); the first
-        # one above 0.5 is a phase reference shared by all phase-equivalents.
-        pivot = flat[int(np.argmax(np.abs(flat) > 0.5))]
-        canon = np.round(u * (abs(pivot) / pivot), 9) + 0.0  # +0.0 kills -0.0
-        return canon.tobytes()
-
-    eye = np.eye(2, dtype=complex)
-    elements = {key(eye): eye}
-    frontier = [eye]
+    elements = [np.eye(2, dtype=complex)]
+    frontier = elements[:]
     while frontier:
         fresh = []
         for u in frontier:
             for g in (h, s):
                 w = g @ u
-                k = key(w)
-                if k not in elements:
-                    elements[k] = w
+                if all(abs(np.vdot(e, w)) < 1.9 for e in elements):
+                    elements.append(w)
                     fresh.append(w)
         frontier = fresh
         if len(elements) > 24:
             raise RuntimeError(f"group closure grew past 24 elements ({len(elements)})")
     if len(elements) != 24:
         raise RuntimeError(f"group closure stopped at {len(elements)} elements, expected 24")
-    return tuple(elements.values())
+    return tuple(elements)
 
 
 @functools.cache
@@ -384,50 +374,36 @@ def _mc_operator_average(a, b, pattern, samples, seed):
     return x + shift, stderr
 
 
-def twirl_operator(
-    x: np.ndarray,
-    pattern,
-    method: str = "design",
-    *,
-    nodes: int = DEFAULT_NODES,
-    samples: int = 0,
-    seed=0,
-):
-    """Average W x W+ over both boxes for an arbitrary square operator.
+def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int = DEFAULT_NODES):
+    """Exact average of W x W+ over both boxes for an arbitrary square operator.
 
-    The exact engines average one label after the other; the boxes are
-    independent, so the order is immaterial. Monte Carlo draws joint samples
-    instead, at least two, seeded by ``seed`` (an int or a SeedSequence),
-    and pushes only the nonzero columns of x through the boxes.
+    ``method`` is "design" or "quadrature"; anything else raises ValueError.
+    The engine averages one label after the other; the boxes are
+    independent, so the order is immaterial. A Monte Carlo average of an
+    operator goes through _mc_operator_average with x as a factor pair.
 
     Returns
     -------
     (ndarray, int, float)
-        The averaged operator, the number of summation terms per label (or
-        samples), and an entrywise standard-error bound (0 for exact engines).
+        The averaged operator, the number of summation terms per label, and
+        an entrywise standard-error bound, always 0.
     """
     pattern = as_pattern(pattern)
     n = len(pattern)
     x = np.asarray(x, dtype=complex)
     if x.shape != (2**n, 2**n):
         raise ValueError(f"operator shape {x.shape} does not match pattern {pattern}")
-    if method in ("design", "quadrature"):
-        if method == "quadrature" and not MIN_NODES <= nodes <= MAX_NODES:
-            raise ValueError(
-                f"quadrature takes {MIN_NODES} to {MAX_NODES} nodes per angle, got {nodes}"
-            )
-        rule_nodes = nodes if method == "quadrature" else None
-        for label in ("U", "V"):
-            x = _twirl_one_label(x, pattern.wires(label), n, method, rule_nodes)
-        terms = len(clifford_group()) if method == "design" else nodes**3
-        return x, terms, 0.0
-    if method == "monte_carlo":
-        # x = x[:, cols] I[:, cols]+ exactly; a zero x keeps one zero column.
-        cols = np.flatnonzero(x.any(axis=0)) if x.any() else [0]
-        eye = np.eye(2**n, dtype=complex)
-        mean, stderr = _mc_operator_average(x[:, cols], eye[:, cols], pattern, samples, seed)
-        return mean, samples, stderr
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if method not in ("design", "quadrature"):
+        raise ValueError(f"unknown exact method {method!r}; expected 'design' or 'quadrature'")
+    if method == "quadrature" and not MIN_NODES <= nodes <= MAX_NODES:
+        raise ValueError(
+            f"quadrature takes {MIN_NODES} to {MAX_NODES} nodes per angle, got {nodes}"
+        )
+    rule_nodes = nodes if method == "quadrature" else None
+    for label in ("U", "V"):
+        x = _twirl_one_label(x, pattern.wires(label), n, method, rule_nodes)
+    terms = len(clifford_group()) if method == "design" else nodes**3
+    return x, terms, 0.0
 
 
 def average_pattern(
@@ -456,9 +432,7 @@ def average_pattern(
         rho, stderr = _mc_operator_average(ket, ket, pattern, samples, seed)
         count = samples
     else:
-        rho, count, stderr = twirl_operator(
-            states.density(psi), pattern, method, nodes=nodes, samples=samples, seed=seed
-        )
+        rho, count, stderr = twirl_operator(states.density(psi), pattern, method, nodes=nodes)
     states.check_density(rho)
     return AverageResult(rho, method, count, stderr)
 
@@ -486,56 +460,39 @@ def twirl_identity_suite(
     One box acting on one wire sends |0><0| and |1><1| to I/2 and kills the
     off-diagonal |0><1|; the same box on both wires sends |00><00| to a third
     of the symmetric projector and kills both |00><11| and the
-    singlet-to-|00> coherence. Both exact engines are held to 1e-12; Monte
-    Carlo to four standard errors of its own estimate, with one independent
-    stream per identity spawned from ``seed``.
+    singlet-to-|00> coherence. Each case is the ket pair (a, b) of its
+    operator |a><b|. Both exact engines twirl the operator and are held to
+    1e-12; Monte Carlo pushes a and b through the boxes as two kets, even
+    when they are equal, and is held to four standard errors of its own
+    estimate, with one independent stream per identity spawned from
+    ``seed``.
     """
     eye2 = np.eye(2, dtype=complex) / 2.0
     p_sym, _ = states.sym_antisym_projectors((0, 1), 2)
     zeros2 = np.zeros((2, 2), dtype=complex)
     zeros4 = np.zeros((4, 4), dtype=complex)
+    ket = states.ket
     cases = [
-        ("|0><0| to I/2", states.density(states.ket("0")), "U", eye2),
-        ("|1><1| to I/2", states.density(states.ket("1")), "U", eye2),
-        (
-            "|0><1| to 0",
-            np.outer(states.ket("0"), states.ket("1").conj()),
-            "U",
-            zeros2,
-        ),
-        (
-            "|00><00| to P_sym/3",
-            states.density(states.ket("00")),
-            "UU",
-            p_sym / 3.0,
-        ),
-        (
-            "|00><11| to 0",
-            np.outer(states.ket("00"), states.ket("11").conj()),
-            "UU",
-            zeros4,
-        ),
-        (
-            "singlet-to-|00| coherence to 0",
-            np.outer(states.bell("psi-"), states.ket("00").conj()),
-            "UU",
-            zeros4,
-        ),
+        ("|0><0| to I/2", ket("0"), ket("0"), "U", eye2),
+        ("|1><1| to I/2", ket("1"), ket("1"), "U", eye2),
+        ("|0><1| to 0", ket("0"), ket("1"), "U", zeros2),
+        ("|00><00| to P_sym/3", ket("00"), ket("00"), "UU", p_sym / 3.0),
+        ("|00><11| to 0", ket("00"), ket("11"), "UU", zeros4),
+        ("singlet-to-|00| coherence to 0", states.bell("psi-"), ket("00"), "UU", zeros4),
     ]
     case_seeds = np.random.SeedSequence(seed).spawn(len(cases))
     checks = []
     for method in methods:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
-        for (name, x, pattern, expected), case_seed in zip(cases, case_seeds):
-            avg, _, stderr = twirl_operator(
-                x,
-                pattern,
-                method,
-                nodes=nodes,
-                samples=samples if method == "monte_carlo" else 0,
-                seed=case_seed,
-            )
+        for (name, a, b, pattern, expected), case_seed in zip(cases, case_seeds):
+            if method == "monte_carlo":
+                avg, stderr = _mc_operator_average(
+                    a[:, None], b[:, None], as_pattern(pattern), samples, case_seed
+                )
+            else:
+                x = np.outer(a, b.conj())
+                avg, _, stderr = twirl_operator(x, pattern, method, nodes=nodes)
             deviation = float(np.max(np.abs(avg - expected)))
             tol = 4.0 * stderr if method == "monte_carlo" else 1e-12
             checks.append(IdentityCheck(name, method, deviation, tol, deviation <= tol))

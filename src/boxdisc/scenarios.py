@@ -15,11 +15,11 @@ a per-sample Monte Carlo simulation of the actual experiment.
 
 run_scenarios is the only scorer; run_scenario runs a batch of one. A batch
 averages each distinct (state, pattern) once, and it shares its Monte Carlo
-draw: each chunk of samples is drawn once and scored for every scenario of
-the batch that uses the same boxes. The auxiliary figures (another input,
-another ancilla, the coin-flip pairwise baseline) are dataclasses.replace
-variants of a shipped scenario; a variant whose id names an auxiliary
-fixture entry is checked against that entry.
+draw: each chunk of samples draws both boxes once and is scored for every
+scenario of the batch. The auxiliary figures (another input, another
+ancilla, the coin-flip pairwise baseline) are dataclasses.replace variants
+of a shipped scenario; a variant whose id names an auxiliary fixture entry
+is checked against that entry.
 singlet_weight_scan sweeps the one-reference test state against noise.
 
 Wire mnemonics used below: the first wires hold the reference boxes handed
@@ -392,23 +392,21 @@ def _mc_figures(batch, samples: int, seed) -> list:
     operator, so a sample costs one quadratic form per scored hypothesis,
     and a hypothesis nothing scores is not simulated.
 
-    Scenarios that draw the same boxes form one group, and each chunk of the
-    group's stream is drawn once and scored for every member before the next
-    chunk is drawn. Within a chunk, each distinct (state, pattern) of the
-    group is simulated once (14 for the 19 scored hypotheses of the shipped
-    scenarios), and every hypothesis that uses it is scored from one
-    conjugate and one product buffer, all dropped before the next one. A
-    scenario's stream depends only on the boxes it draws, so its figure is
-    the same in any batch as on its own. Returns one (mean, stderr) per
-    scenario, in batch order.
+    Each chunk draws both boxes once, U's block first in the stream, and is
+    scored for every scenario of the batch before the next chunk is drawn.
+    Within a chunk, each distinct (state, pattern) of the batch is simulated
+    once (14 for the 19 scored hypotheses of the shipped scenarios), and
+    every hypothesis that uses it is scored from one conjugate and one
+    product buffer, all dropped before the next one. Every scenario reads
+    the same stream, so its figure is the same in any batch as on its own.
+    A scenario without box V reads the U block as if it drew U alone, while
+    one without box U reads the V block that follows it. Returns one (mean,
+    stderr) per scenario, in batch order.
     """
     if samples <= 0:
         raise ValueError("Monte Carlo needs samples > 0")
-    groups = {}
+    plan = {}
     for i, scenario in enumerate(batch):
-        labels = scenario.pattern1.labels + scenario.pattern2.labels
-        members, plan = groups.setdefault(tuple(b for b in "UV" if b in labels), ([], {}))
-        members.append(i)
         patterns = (scenario.pattern1, scenario.pattern2)
         for pattern, scored in zip(patterns, scenario.povm.scored):
             if scored:
@@ -416,24 +414,23 @@ def _mc_figures(batch, samples: int, seed) -> list:
                 key = _hypothesis_key(scenario.state, pattern)
                 plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
     tallies = [_McTally() for _ in batch]
-    for boxes, (members, plan) in groups.items():
-        for m, gates in haar.draw_boxes(samples, seed, boxes):
-            values = {i: np.zeros(m) for i in members}
-            for psi, pattern, consumers in plan.values():
-                kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
-                out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
-                conj = out.conj()
-                prod = np.empty(out.shape, dtype=complex)
-                # A scenario scores at most two hypotheses, and 0 + a + b
-                # has the same bits as 0 + b + a, so the order in which its
-                # keys come up does not change its values.
-                for i, op in consumers:
-                    np.matmul(conj, op, out=prod)
-                    np.multiply(prod, out, out=prod)
-                    values[i] += np.real(np.sum(prod, axis=1))
-                del out, conj, prod
-            for i in members:
-                tallies[i].add(values[i])
+    for m, gates in haar.draw_boxes(samples, seed, "UV"):
+        values = np.zeros((len(batch), m))
+        for psi, pattern, consumers in plan.values():
+            kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
+            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
+            conj = out.conj()
+            prod = np.empty(out.shape, dtype=complex)
+            # A scenario scores at most two hypotheses, and 0 + a + b has
+            # the same bits as 0 + b + a, so the order in which its keys
+            # come up does not change its values.
+            for i, op in consumers:
+                np.matmul(conj, op, out=prod)
+                np.multiply(prod, out, out=prod)
+                values[i] += np.real(np.sum(prod, axis=1))
+            del out, conj, prod
+        for tally, row in zip(tallies, values):
+            tally.add(row)
     return [tally.figure(samples) for tally in tallies]
 
 

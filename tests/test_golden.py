@@ -34,6 +34,9 @@ CASES = {
     "montecarlo-3000-seed7-csv": [
         "--all", "--method", "monte_carlo", "--samples", "3000", "--seed", "7", "--format", "csv",
     ],
+    "montecarlo-10-seed2-table": [
+        "--all", "--method", "monte_carlo", "--samples", "10", "--seed", "2", "--format", "table",
+    ],
     "subset-dup-table": [
         "--scenario", "two-ref-singlet", "--scenario", "one-ref-minerror",
         "--scenario", "two-ref-singlet", "--format", "table",

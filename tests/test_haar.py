@@ -193,6 +193,13 @@ class TestEngineAgreement:
         assert q.samples == nodes**3
         assert np.max(np.abs(d - q.rho)) <= 1e-12
 
+    def test_monte_carlo_operator_twirl_rejected(self):
+        # twirl_operator is the exact twirl only; Monte Carlo operator
+        # averages go through haar._mc_operator_average as factor pairs.
+        x = states.density(states.bell("psi-"))
+        with pytest.raises(ValueError, match="'design' or 'quadrature'"):
+            twirl_operator(x, "UU", "monte_carlo")
+
     def test_quadrature_below_exact_node_count_rejected(self):
         with pytest.raises(ValueError, match="nodes"):
             average_pattern(states.bell("psi-"), "UU", "quadrature", nodes=6)
@@ -379,16 +386,18 @@ class TestMonteCarloKernel:
     def test_matches_explicit_kron_on_nonsymmetric_operator(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        mean, count, stderr = twirl_operator(x, "UVVI", "monte_carlo", samples=37, seed=5)
-        assert count == 37 and stderr > 0
+        eye = np.eye(16, dtype=complex)
+        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern.from_string("UVVI"), 37, 5)
+        assert stderr > 0
         assert np.max(np.abs(mean - _kron_reference(x, "UVVI", 37, 5))) <= 1e-12
 
     def test_all_idle_pattern_returns_input(self):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        mean, count, stderr = twirl_operator(x, "II", "monte_carlo", samples=9, seed=5)
+        eye = np.eye(4, dtype=complex)
+        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern.from_string("II"), 9, 5)
         assert np.max(np.abs(mean - _kron_reference(x, "II", 9, 5))) <= 1e-12
-        assert np.array_equal(mean, x) and count == 9 and stderr == 0.0
+        assert np.array_equal(mean, x) and stderr == 0.0
 
     def test_four_wire_density_matches_kron(self):
         scenario = scenarios.build_scenario("two-ref-4q-subspace")
@@ -400,19 +409,19 @@ class TestMonteCarloKernel:
 
     def test_identity_suite_operators_match_kron(self, monkeypatch):
         calls = []
-        twirl = haar.twirl_operator
+        average = haar._mc_operator_average
 
-        def recorded(x, pattern, method, **kwargs):
-            out = twirl(x, pattern, method, **kwargs)
-            calls.append((x, pattern, kwargs["samples"], kwargs["seed"], out))
+        def recorded(a, b, pattern, samples, seed):
+            out = average(a, b, pattern, samples, seed)
+            calls.append((a @ b.conj().T, str(pattern), samples, seed, out))
             return out
 
-        monkeypatch.setattr(haar, "twirl_operator", recorded)
+        monkeypatch.setattr(haar, "_mc_operator_average", recorded)
         haar.twirl_identity_suite(("monte_carlo",), samples=37, seed=5)
         assert len(calls) == 6
-        for x, pattern, samples, seed, (mean, count, stderr) in calls:
+        for x, pattern, samples, seed, (mean, stderr) in calls:
             reference = _kron_reference(x, pattern, samples, seed)
-            assert count == 37 and np.max(np.abs(mean - reference)) <= 1e-12, pattern
+            assert samples == 37 and np.max(np.abs(mean - reference)) <= 1e-12, pattern
 
     def test_all_idle_density_is_exact(self):
         psi = states.four_qubit_test_state()
@@ -436,8 +445,7 @@ class TestMonteCarloKernel:
         assert shapes == [(16, 1, 50)]
         shapes.clear()
         haar.twirl_identity_suite(("monte_carlo",), samples=50, seed=1)
-        # Each case pushes its one nonzero column and the matching identity
-        # column.
+        # Each case pushes its ket pair a and b as two kets.
         assert shapes == [(d, 1, 50) for d in (2, 2, 2, 4, 4, 4) for _ in "ab"]
 
     def test_operator_average_memory_is_one_sample_buffer(self):

@@ -544,6 +544,25 @@ class TestMonteCarlo:
         together = _mc_figures(batch, samples, 13)
         assert together == [_mc_figures((s,), samples, 13)[0] for s in batch]
 
+    def test_one_draw_per_batch(self, monkeypatch):
+        # Every scenario reads the one stream that draws both boxes, also a
+        # variant that draws only U or only V.
+        calls = []
+        draw = haar.draw_boxes
+
+        def counted(samples, seed, labels):
+            calls.append(tuple(labels))
+            return draw(samples, seed, labels)
+
+        monkeypatch.setattr(haar, "draw_boxes", counted)
+        base = build_scenario("one-ref-minerror")
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS] + [
+            dataclasses.replace(base, pattern1="UU", pattern2="UI"),
+            dataclasses.replace(base, pattern1="VV", pattern2="VI"),
+        ]
+        _mc_figures(batch, 5000, 7)
+        assert calls == [("U", "V")]
+
     @pytest.mark.parametrize(
         "ids, per_chunk",
         ((SCENARIO_IDS, 14), (("pair-same-unambiguous",), 2)),
