@@ -395,9 +395,11 @@ def _mc_figures(batch, samples: int, seed) -> list:
     Each chunk draws both boxes once, U's block first in the stream, and is
     scored for every scenario of the batch before the next chunk is drawn.
     Within a chunk, each distinct (state, pattern) of the batch is simulated
-    once (14 for the 19 scored hypotheses of the shipped scenarios), and
-    every hypothesis that uses it is scored from one conjugate and one
-    product buffer, all dropped before the next one. Every scenario reads
+    once (14 for the 19 scored hypotheses of the shipped scenarios) into a
+    (d, m) array o with the samples last, and every hypothesis that uses it
+    is scored there: y = E o is one matrix product, and the per-sample value
+    Re(o^H E o) = sum_k (Re o_k Re y_k + Im o_k Im y_k) is one column sum
+    over the real and imaginary parts, with no conjugate. Every scenario reads
     the same stream, so its figure is the same in any batch as on its own.
     A scenario without box V reads the U block as if it drew U alone, while
     one without box U reads the V block that follows it. Returns one (mean,
@@ -418,17 +420,15 @@ def _mc_figures(batch, samples: int, seed) -> list:
         values = np.zeros((len(batch), m))
         for psi, pattern, consumers in plan.values():
             kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
-            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
-            conj = out.conj()
-            prod = np.empty(out.shape, dtype=complex)
+            # An all-idle pattern returns the broadcast input, which the
+            # float view below needs copied; any other output is contiguous.
+            out = np.ascontiguousarray(haar.apply_boxes(kets, pattern, gates).reshape(-1, m))
             # A scenario scores at most two hypotheses, and 0 + a + b has
             # the same bits as 0 + b + a, so the order in which its keys
             # come up does not change its values.
             for i, op in consumers:
-                np.matmul(conj, op, out=prod)
-                np.multiply(prod, out, out=prod)
-                values[i] += np.real(np.sum(prod, axis=1))
-            del out, conj, prod
+                terms = np.einsum("ij,ij->j", (op @ out).view(float), out.view(float))
+                values[i] += terms[0::2] + terms[1::2]
         for tally, row in zip(tallies, values):
             tally.add(row)
     return [tally.figure(samples) for tally in tallies]

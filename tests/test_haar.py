@@ -372,7 +372,11 @@ def _mc_figure_samples_first(scenario, samples, seed):
         values = np.zeros(m)
         for pattern, op in scored:
             out = _apply_boxes_samples_first(kets, pattern, gates).reshape(m, -1)
-            values += np.real(np.sum((out.conj() @ op) * out, axis=1))
+            # Scored in _mc_figures' order: on (d, m), y = E o and one column
+            # sum over the real and imaginary parts.
+            o = np.ascontiguousarray(out.T)
+            terms = np.einsum("ij,ij->j", (op @ o).view(float), o.view(float))
+            values += terms[0::2] + terms[1::2]
         if shift is None:
             shift = values[0]
         total += float(values.sum())
@@ -380,6 +384,32 @@ def _mc_figure_samples_first(scenario, samples, seed):
         dev_sq += float(((values - shift) ** 2).sum())
     var = max(dev_sq / samples - (dev / samples) ** 2, 0.0)
     return total / samples, float(np.sqrt(var / samples))
+
+
+def _mc_figures_row_sum(batch, samples, seed):
+    """scenarios._mc_figures as it scored before the samples-last layout.
+
+    Each simulated batch is viewed as (m, d), and a hypothesis's value is the
+    row sum of conj(o) E times o, one short row of d entries per sample.
+    """
+    plan = {}
+    for i, scenario in enumerate(batch):
+        for pattern, scored in zip((scenario.pattern1, scenario.pattern2), scenario.povm.scored):
+            if scored:
+                op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
+                key = scenarios._hypothesis_key(scenario.state, pattern)
+                plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
+    tallies = [scenarios._McTally() for _ in batch]
+    for m, gates in haar.draw_boxes(samples, seed, "UV"):
+        values = np.zeros((len(batch), m))
+        for psi, pattern, consumers in plan.values():
+            kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
+            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
+            for i, op in consumers:
+                values[i] += np.real(np.sum((out.conj() @ op) * out, axis=1))
+        for tally, row in zip(tallies, values):
+            tally.add(row)
+    return [tally.figure(samples) for tally in tallies]
 
 
 class TestMonteCarloKernel:
@@ -520,6 +550,17 @@ class TestMonteCarloKernel:
         figures = scenarios._mc_figures(batch, samples, seed)
         for scenario, figure in zip(batch, figures):
             assert figure == _mc_figure_samples_first(scenario, samples, seed), scenario.id
+
+    @pytest.mark.parametrize("samples, seed", ((5000, 7), (2 * haar._CHUNK + 1, 3), (10, 2)))
+    def test_batch_figures_match_row_sum_scorer(self, samples, seed):
+        # The column sum adds the same terms as the row sum in another
+        # order, so the figures agree to rounding, not bit for bit.
+        batch = [scenarios.build_scenario(sid) for sid in scenarios.SCENARIO_IDS]
+        figures = scenarios._mc_figures(batch, samples, seed)
+        for (mean, stderr), (ref_mean, ref_stderr), sid in zip(
+            figures, _mc_figures_row_sum(batch, samples, seed), scenarios.SCENARIO_IDS
+        ):
+            assert abs(mean - ref_mean) <= 1e-15 and abs(stderr - ref_stderr) <= 1e-15, sid
 
     def test_chunked_draw_keeps_stream(self, monkeypatch):
         whole = list(haar.draw_boxes(10, 8, "UV"))

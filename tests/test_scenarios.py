@@ -481,6 +481,36 @@ class TestVariants:
         assert baseline.analytic < pairwise - 1e-3
 
 
+class TestGateScales:
+    """Each gate fails a fault of a fixed physical size, not one sized by its constant.
+
+    Both variants of one-ref-unambiguous move a share of one projector from
+    one POVM element to the other, so each stays a valid POVM.
+    """
+
+    @staticmethod
+    def _run_variant(identify, fail):
+        variant = dataclasses.replace(
+            build_scenario("one-ref-unambiguous"), povm=Povm({"identify-2": identify, "fail": fail})
+        )
+        assert variant.povm_report.valid
+        return run_scenario(variant)
+
+    def test_cross_talk_of_4e_9_fails(self):
+        p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        res = self._run_variant(p_sym + 4e-9 * p_anti, (1 - 4e-9) * p_anti)
+        assert not res.passed
+        assert res.cross_talk == pytest.approx(4e-9, rel=1e-3)
+        assert abs(res.analytic - 0.375) == pytest.approx(5e-10, rel=1e-3)
+
+    def test_figure_short_by_3_75e_9_fails(self):
+        p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        res = self._run_variant((1 - 1e-8) * p_sym, p_anti + 1e-8 * p_sym)
+        assert not res.passed
+        assert res.analytic == pytest.approx(0.375 - 3.75e-9, abs=1e-12)
+        assert res.cross_talk <= 1e-12
+
+
 class TestMonteCarlo:
     def test_estimates_are_deterministic_and_close(self):
         scenario = build_scenario("one-ref-unambiguous")
@@ -498,6 +528,28 @@ class TestMonteCarlo:
         res = run_scenario(scenario, mc_samples=2_000, seed=3)
         assert abs(res.analytic - res.scenario.paper_value) <= 1e-9
         assert res.mc_estimate != res.analytic and res.passed is False
+
+    def test_error_bar_matches_exact_spread(self):
+        # one-ref-unambiguous scores (1 - c)/2 per sample, c = |tr(U^H V)|^2/4,
+        # whose exact standard deviation under Haar boxes is 1/8.
+        samples = 20_000
+        res = run_scenario(build_scenario("one-ref-unambiguous"), mc_samples=samples, seed=7)
+        assert abs(res.mc_stderr * np.sqrt(samples) / 0.125 - 1) <= 0.05
+
+    def test_known_false_alarm_fails_nine_ids_at_one_z(self):
+        # Nine of the eleven per-sample figures are affine in one box
+        # invariant, c = |tr(U^H V)|^2/4, so a draw whose mean c strays fails
+        # all nine at one |z|. This pass seed is the 242nd that the
+        # benchmark's verify-montecarlo workload draws from seed 16.
+        records, _ = cli.execute(SCENARIO_IDS, "monte_carlo", 5000, 11007362434702588829)
+        failed = {rec["scenario"] for rec in records if not rec["pass"]}
+        assert failed == set(SCENARIO_IDS) - {"order-uv-refs", "two-ref-symmetric"}
+        z = [
+            abs(rec["mc_estimate"] - rec["analytic"]) / rec["mc_stderr"]
+            for rec in records
+            if rec["scenario"] in failed
+        ]
+        assert max(z) - min(z) <= 1e-9 and min(z) > scenarios.MC_SIGMA
 
     @pytest.mark.parametrize("samples", (1, -5))
     def test_rejects_samples_without_error_bar(self, samples):
