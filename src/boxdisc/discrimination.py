@@ -151,7 +151,7 @@ def outcome_probs(povm: Povm, rho: np.ndarray) -> dict:
         for label, e in povm.elements.items()
     }
     total = sum(probs.values())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
     return probs
 

@@ -25,10 +25,12 @@ The two boxes are independent, so the exact engines average one label at a
 time. For k wires sharing a label the exact average is one fixed channel, the
 k-copy twirl T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends
 on the rule and on k only. Each T_k is built once per process from the 24
-group elements or nodes**3 grid points as a weighted Gram matrix, one matrix
-product per chunk of elements, then kept as a 4**k x 4**k matrix (at most
-64 x 64); every later average with the same rule applies it as one matrix
-product on the operator with the label's wires moved to the front.
+group elements, or from the nodes**2 grid points at axis azimuth 0 with the
+azimuth sum of the nodes**3-point rule done in closed form, as a weighted
+Gram matrix, one matrix product per chunk of elements, then kept as a
+4**k x 4**k matrix (at most 64 x 64); every later average with the same rule
+applies it as one matrix product on the operator with the label's wires
+moved to the front.
 
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
@@ -61,14 +63,15 @@ DESIGN_COPY_LIMIT = 3
 #: DESIGN_COPY_LIMIT copies (see _quadrature_elements).
 MIN_NODES = 2 * DESIGN_COPY_LIMIT + 1
 
-#: Most quadrature nodes per angle. The grid holds nodes**3 SU(2) elements:
-#: at 64 nodes `--all --method quadrature` peaks near 90 MB, while 1000 nodes
-#: would need 64 GB for the grid alone.
+#: Most quadrature nodes per angle. The rule has nodes**3 points, of which the
+#: channel build holds and sums the nodes**2 at axis azimuth 0: at 64 nodes a
+#: cold `--all --method quadrature` peaks near 47 MB (89 MB when all nodes**3
+#: were summed). More nodes add no exactness, only build time.
 MAX_NODES = 64
 
 #: Default node count per angle for the quadrature engine. Any count from
-#: MIN_NODES on is exact up to rounding; the 24**3 grid points of the default
-#: cost more only in the one-time build of each channel.
+#: MIN_NODES on is exact up to rounding; the 24**2 summed points of the
+#: default cost more only in the one-time build of each channel.
 DEFAULT_NODES = 24
 
 _METHODS = ("design", "quadrature", "monte_carlo")
@@ -130,8 +133,8 @@ def as_pattern(pattern) -> BoxPattern:
 class AverageResult:
     """Averaged state plus provenance of the engine that produced it.
 
-    samples holds the number of summation terms (group order, grid size, or
-    sample count); stderr_bound is 0 for the exact engines and the largest
+    samples holds the size of the rule (group order, the nodes**3 points of
+    the quadrature rule, or sample count); stderr_bound is 0 for the exact engines and the largest
     entrywise standard error for Monte Carlo.
     """
 
@@ -196,12 +199,18 @@ def clifford_group():
 
 @functools.cache
 def _quadrature_elements(nodes: int):
-    """Product rule over the angle box, weights including the measure.
+    """The phi = 0 slice of the product rule, weights including the measure.
 
-    theta and phi take the periodic trapezoid rule on ``nodes`` points in
-    [0, 2*pi); x = cos(mu) takes ``nodes``-point Gauss-Legendre, which absorbs
-    the sin(mu) of the measure sin^2(theta/2) sin(mu) / (4 pi^2). Node
-    weights are therefore sin^2(theta/2) w_x / nodes**2.
+    The rule: theta and the axis azimuth phi take the periodic trapezoid rule
+    on ``nodes`` points in [0, 2*pi); x = cos(mu) takes ``nodes``-point
+    Gauss-Legendre, which absorbs the sin(mu) of the measure sin^2(theta/2)
+    sin(mu) / (4 pi^2). Node weights are therefore sin^2(theta/2) w_x /
+    nodes**2 over nodes**3 points.
+
+    Only the nodes**2 (theta, x) points at phi = 0 are returned, with the
+    axis (sqrt(1 - x^2), 0, x), each weighted sin^2(theta/2) w_x / nodes: the
+    weight of one full-grid point times the nodes points of the phi sum,
+    which _twirl_channel evaluates in closed form.
 
     Every entry of a k-copy channel, times sin^2(theta/2), is a trigonometric
     polynomial of frequency at most k + 1 in theta and 2k in phi; summed over
@@ -209,20 +218,19 @@ def _quadrature_elements(nodes: int):
     rule is exact below frequency ``nodes`` and Gauss-Legendre up to degree
     2 * nodes - 1, so the rule is exact for nodes >= 2k + 1, i.e. MIN_NODES.
     At 2 * DESIGN_COPY_LIMIT nodes phi aliases and three-copy averages are
-    off by the order of 1e-2. The weights integrate the constant exactly, so they sum to
-    1 up to rounding and need no renormalization.
+    off by the order of 1e-2. The weights integrate the constant exactly, so
+    they sum to 1 up to rounding and need no renormalization.
 
     Returns (stack of unitaries, weights), built once per node count and
     shared read-only by every caller.
     """
     x, w_x = np.polynomial.legendre.leggauss(nodes)
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    tg, pg, xg = np.meshgrid(angles, angles, x, indexing="ij")
-    wg = (np.sin(tg / 2) ** 2 * w_x / nodes**2).reshape(-1)
-    tg, pg, xg = tg.reshape(-1), pg.reshape(-1), xg.reshape(-1)
+    tg, xg = np.meshgrid(angles, x, indexing="ij")
+    wg = (np.sin(tg / 2) ** 2 * w_x / nodes).reshape(-1)
+    tg, xg = tg.reshape(-1), xg.reshape(-1)
 
-    sin_mu = np.sqrt(1.0 - xg**2)
-    us = _su2_rotation(tg, (sin_mu * np.cos(pg), sin_mu * np.sin(pg), xg))
+    us = _su2_rotation(tg, (np.sqrt(1.0 - xg**2), 0.0, xg))
     us.flags.writeable = False
     wg.flags.writeable = False
     return us, wg
@@ -252,6 +260,16 @@ def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     so the full stack of k-fold Kronecker powers is never held. Built once
     per (method, nodes, k); the design rule takes nodes None, and the three
     channels of one node count share one cached grid.
+
+    The quadrature sum over the axis azimuth phi is done in closed form.
+    Turning the axis by phi about z conjugates U by Z = exp(-i phi sigma_z /
+    2), which multiplies G[(c, a), (d, b)] by exp(i phi j) with j = |c| -
+    |a| - |d| + |b|, |.| the number of 1 bits of an index. On the nodes
+    trapezoid points phi = 2 pi p / nodes that factor sums to nodes if j = 0
+    mod nodes and to 0 otherwise, so G is accumulated over the phi = 0 slice
+    of _quadrature_elements and multiplied by that 0/1 mask. The test stays
+    mod nodes, not j = 0, so a rule below MIN_NODES aliases exactly as the
+    full nodes**3 grid does.
     """
     if method == "design":
         us = np.stack(clifford_group())
@@ -263,6 +281,10 @@ def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     for lo in range(0, len(us), _CHUNK):
         a = _kron_stack(us[lo : lo + _CHUNK], k).reshape(-1, da * da)
         gram += a.T @ (weights[lo : lo + _CHUNK, None] * a.conj())
+    if method == "quadrature":
+        ones = np.array([bin(i).count("1") for i in range(da)])
+        pair = (ones[:, None] - ones[None, :]).reshape(-1)  # |c| - |a| per (c, a)
+        gram *= (pair[:, None] - pair[None, :]) % nodes == 0
     t = gram.reshape(da, da, da, da).transpose(0, 2, 1, 3).reshape(da * da, da * da)
     t.flags.writeable = False
     return t
@@ -385,8 +407,8 @@ def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int
     Returns
     -------
     (ndarray, int, float)
-        The averaged operator, the number of summation terms per label, and
-        an entrywise standard-error bound, always 0.
+        The averaged operator, the size of the rule applied per label (24 or
+        nodes**3), and an entrywise standard-error bound, always 0.
     """
     pattern = as_pattern(pattern)
     n = len(pattern)

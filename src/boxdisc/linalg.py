@@ -42,7 +42,7 @@ class Subspace:
         if basis.shape[1]:
             gram = basis.conj().T @ basis
             err = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-            if err > 1e-10:
+            if not err <= 1e-10:
                 raise ValueError(f"basis columns are not orthonormal (deviation {err:.3g})")
 
     @property
@@ -109,7 +109,7 @@ def herm_eig(m: np.ndarray) -> tuple:
     """
     m = np.asarray(m, dtype=complex)
     err = hermiticity_error(m)
-    if err > HERM_TOL:
+    if not err <= HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {err:.3g})")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()

@@ -40,7 +40,7 @@ def density(psi: np.ndarray) -> np.ndarray:
 
 def assert_normalized(psi: np.ndarray) -> None:
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {nrm} deviates from 1 by more than {NORM_TOL}")
 
 
@@ -52,13 +52,13 @@ def check_density(rho: np.ndarray) -> None:
     """
     rho = np.asarray(rho)
     herr = linalg.hermiticity_error(rho)
-    if herr > linalg.HERM_TOL:
+    if not herr <= linalg.HERM_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herr:.3g})")
     terr = abs(complex(np.trace(rho)) - 1.0)
-    if terr > TRACE_TOL:
+    if not terr <= TRACE_TOL:
         raise ValueError(f"density matrix trace off by {terr:.3g}")
     lam_min = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-    if lam_min < linalg.PSD_FLOOR:
+    if not lam_min >= linalg.PSD_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {lam_min:.3g} below {linalg.PSD_FLOOR}")
 
 

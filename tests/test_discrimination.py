@@ -80,6 +80,12 @@ class TestOutcomeProbs:
         with pytest.raises(ValueError):
             outcome_probs(projective_pair(), np.eye(4))
 
+    def test_nan_state_rejected(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match="sum to nan"):
+            outcome_probs(projective_pair(), rho)
+
 
 class TestHelstrom:
     def test_identical_states_give_coin_flip(self):

@@ -156,6 +156,10 @@ class TestAveragePattern:
         )
         assert np.max(np.abs(res.rho - expected)) <= 1e-12
 
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="state norm nan"):
+            average_pattern([np.nan, 0.0], "U")
+
     def test_pattern_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             average_pattern(states.bell("psi-"), "UUU")
@@ -205,8 +209,8 @@ class TestEngineAgreement:
             average_pattern(states.bell("psi-"), "UU", "quadrature", nodes=6)
 
     def test_quadrature_above_node_ceiling_rejected(self, monkeypatch):
-        # The grid holds nodes**3 elements, so the ceiling is checked before
-        # any grid is built.
+        # The rule has nodes**3 points, so the ceiling is checked before any
+        # grid is built.
         def no_grid(nodes):
             raise AssertionError(f"grid built for {nodes} nodes")
 
@@ -236,9 +240,11 @@ class TestEngineAgreement:
     @pytest.mark.parametrize(
         "method,nodes,k",
         [("design", None, k) for k in (1, 2, 3)]
-        + [("quadrature", n, k) for n in (7, 8, 16, 24) for k in (1, 2, 3)],
+        + [("quadrature", n, k) for n in (3, 4, 5, 6, 7, 8, 16, 24) for k in (1, 2, 3)],
     )
     def test_channel_matches_einsum_reference(self, method, nodes, k):
+        # Nodes 3 to 6 sit below MIN_NODES: there the phi mask aliases, and it
+        # must alias exactly as the full grid does.
         t = haar._twirl_channel(method, nodes, k)
         assert np.max(np.abs(t - _einsum_channel(method, nodes, k))) <= 1e-13
 
@@ -297,17 +303,62 @@ class TestEngineAgreement:
         assert np.max(np.abs(avg_permuted - linalg.permute_qubits(avg, perm))) <= 1e-10
 
 
+class TestNodeThreshold:
+    """MIN_NODES pinned by numbers: exact on it, aliased one node below."""
+
+    @pytest.mark.parametrize("pattern", ("UUUV", "UVVV"))
+    def test_quadrature_at_min_nodes_matches_design(self, pattern):
+        rng = np.random.default_rng(12)
+        n = len(pattern)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        d = average_pattern(psi, pattern, "design").rho
+        q = average_pattern(psi, pattern, "quadrature", nodes=haar.MIN_NODES).rho
+        assert np.max(np.abs(d - q)) <= 1e-12
+
+    def test_three_copy_channel_aliases_below_min_nodes(self):
+        below = haar._twirl_channel("quadrature", haar.MIN_NODES - 1, 3)
+        design = haar._twirl_channel("design", None, 3)
+        assert np.max(np.abs(below - design)) >= 0.1
+
+    def test_three_copy_coherences_vanish(self):
+        # Under one box on three wires |000><111| and |000><D_2| average to
+        # 0, D_2 the Dicke state of weight 2. One node below MIN_NODES the
+        # phi rule aliases on the first: |000> and |111> differ by 6 in
+        # their count of 1 bits, which 6 nodes cannot tell from 0.
+        d2 = (states.ket("011") + states.ket("101") + states.ket("110")) / np.sqrt(3.0)
+        coherences = [np.outer(states.ket("000"), b.conj()) for b in (states.ket("111"), d2)]
+
+        for x in coherences:
+            for method in ("design", "quadrature"):
+                avg, _, _ = twirl_operator(x, "UUU", method, nodes=haar.MIN_NODES)
+                assert np.max(np.abs(avg)) <= 1e-12, method
+        # twirl_operator refuses the aliased rule, so the label is twirled directly.
+        below = haar._twirl_one_label(coherences[0], (0, 1, 2), 3, "quadrature", haar.MIN_NODES - 1)
+        assert abs(np.max(np.abs(below)) - 0.25) <= 1e-12
+
+
 def _einsum_channel(method, nodes, k):
     """k-copy twirl channel as one einsum over the whole element stack.
 
     The direct definition T[(c, d), (a, b)] = sum_m w_m U[c, a] conj(U[d, b])
-    with U = U_m^{(x)k}, without chunks or matrix products.
+    with U = U_m^{(x)k}, without chunks, matrix products or a closed-form
+    phi sum: the quadrature stack is the full nodes**3 product grid over
+    (theta, phi, x = cos(mu)), each point weighted sin^2(theta/2) w_x /
+    nodes**2.
     """
     if method == "design":
         us = np.stack(haar.clifford_group())
         weights = np.full(len(us), 1.0 / len(us))
     else:
-        us, weights = haar._quadrature_elements(nodes)
+        x, w_x = np.polynomial.legendre.leggauss(nodes)
+        angles = 2.0 * np.pi * np.arange(nodes) / nodes
+        theta, phi, cos_mu = (
+            g.reshape(-1) for g in np.meshgrid(angles, angles, x, indexing="ij")
+        )
+        weights = np.sin(theta / 2) ** 2 * np.tile(w_x, nodes**2) / nodes**2
+        sin_mu = np.sqrt(1.0 - cos_mu**2)
+        us = haar._su2_rotation(theta, (sin_mu * np.cos(phi), sin_mu * np.sin(phi), cos_mu))
     uk = haar._kron_stack(us, k)
     return np.einsum("mca,mdb,m->cdab", uk, uk.conj(), weights).reshape(4**k, 4**k)
 

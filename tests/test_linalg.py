@@ -96,6 +96,10 @@ class TestHermEig:
         with pytest.raises(ValueError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_known_eigenvalues(self):
         vals, _ = herm_eig(np.diag([1.0, -2.0, 0.5]))
         assert np.allclose(vals, [1.0, 0.5, -2.0])
@@ -151,6 +155,10 @@ class TestSubspace:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    def test_rejects_nan_basis(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.array([[np.nan], [0.0]]))
 
     def test_rejects_one_dimensional_basis(self):
         with pytest.raises(ValueError):

@@ -155,3 +155,31 @@ class TestDoubleSinglet:
         psi = states.double_singlet()
         w = np.kron(np.kron(u, u), np.kron(u, u))
         assert np.max(np.abs(w @ psi - psi)) <= 1e-9
+
+
+class TestValidationGatesRejectNan:
+    """Each gate fails closed: a NaN deviation raises instead of passing."""
+
+    def test_assert_normalized(self):
+        with pytest.raises(ValueError, match="state norm nan"):
+            states.assert_normalized(np.array([np.nan, 0.0]))
+
+    def test_check_density_hermiticity(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.check_density(rho)
+
+    def test_check_density_trace(self, monkeypatch):
+        # A NaN anywhere already trips the Hermiticity gate, so it is
+        # silenced here to reach the trace gate.
+        monkeypatch.setattr(linalg, "hermiticity_error", lambda m: 0.0)
+        rho = np.diag([np.nan, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="trace off by nan"):
+            states.check_density(rho)
+
+    def test_check_density_eigenvalue(self, monkeypatch):
+        # A valid density whose eigensolve reports NaN reaches the last gate.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(len(m), np.nan))
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            states.check_density(np.eye(2, dtype=complex) / 2)
