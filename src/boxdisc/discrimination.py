@@ -28,6 +28,7 @@ __all__ = [
     "validate_povm",
     "with_fail",
     "outcome_probs",
+    "scored_figure",
     "helstrom",
     "unambiguous_eval",
     "unambiguous_subspace_povm",
@@ -156,6 +157,12 @@ def outcome_probs(povm: Povm, rho: np.ndarray) -> dict:
     return probs
 
 
+def scored_figure(probs, scored) -> tuple:
+    """(per_state, equal-prior figure): per_state[i] sums probs[i] over scored[i]."""
+    per_state = tuple(sum(p[l] for l in labels) for p, labels in zip(probs, scored))
+    return per_state, float(0.5 * sum(per_state))
+
+
 @dataclass(frozen=True)
 class MinErrorResult:
     """Minimum-error discrimination data for an equal-prior state pair.
@@ -227,11 +234,10 @@ def unambiguous_eval(povm: Povm, hypothesis_states) -> UnambiguousResult:
 
     probs = [outcome_probs(povm, rho) for rho in rhos]
     scored = povm.scored
-    per_state = tuple(sum(p[label] for label in labels) for p, labels in zip(probs, scored))
+    per_state, p_success = scored_figure(probs, scored)
     cross = max(
         (abs(probs[1 - i][label]) for i in (0, 1) for label in scored[i]), default=0.0
     )
-    p_success = float(0.5 * sum(per_state))
     failure = float(0.5 * sum(p.get("fail", 0.0) for p in probs))
     return UnambiguousResult(p_success, per_state, cross, failure)
 
@@ -278,7 +284,7 @@ def _pair_weight(u: np.ndarray, v: np.ndarray, z_u: np.ndarray, z_v: np.ndarray,
     basis = np.column_stack([u, q2])
     block = basis.conj().T @ (np.outer(z_u, z_u.conj()) + np.outer(z_v, z_v.conj())) @ basis
     lam_min = float(np.min(np.linalg.eigvalsh(np.eye(2) - w * block)))
-    if abs(lam_min) > 1e-12:
+    if not abs(lam_min) <= 1e-12:
         raise RuntimeError(
             f"pair weight {w} leaves smallest block eigenvalue {lam_min}, not 0"
         )

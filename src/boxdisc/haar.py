@@ -27,10 +27,9 @@ k-copy twirl T_k = sum_m w_m U_m^{(x)k} (x) conj(U_m)^{(x)k}, which depends
 on the rule and on k only. Each T_k is built once per process from the 24
 group elements, or from the nodes**2 grid points at axis azimuth 0 with the
 azimuth sum of the nodes**3-point rule done in closed form, as a weighted
-Gram matrix, one matrix product per chunk of elements, then kept as a
-4**k x 4**k matrix (at most 64 x 64); every later average with the same rule
-applies it as one matrix product on the operator with the label's wires
-moved to the front.
+Gram matrix in one matrix product, then kept as a 4**k x 4**k matrix (at
+most 64 x 64); every later average with the same rule applies it as one
+matrix product on the operator with the label's wires moved to the front.
 
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
@@ -76,8 +75,7 @@ DEFAULT_NODES = 24
 
 _METHODS = ("design", "quadrature", "monte_carlo")
 
-#: Most group elements or samples held at once: bounds the memory of the
-#: channel build and of each Monte Carlo draw.
+#: Most samples held at once: bounds the memory of each Monte Carlo draw.
 _CHUNK = 4096
 
 
@@ -256,10 +254,10 @@ def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     the average of |a><b| on the k wires is sum_cd T[(c, d), (a, b)] |c><d|.
     The sum is the weighted Gram matrix G = A^T diag(w) conj(A) of the matrix
     A whose rows are the flattened U_m^{(x)k}, G[(c, a), (d, b)] = T[(c, d),
-    (a, b)]; it is accumulated with one matrix product per _CHUNK elements,
-    so the full stack of k-fold Kronecker powers is never held. Built once
-    per (method, nodes, k); the design rule takes nodes None, and the three
-    channels of one node count share one cached grid.
+    (a, b)]; it is one matrix product, as A has at most MAX_NODES**2 = 4096
+    rows of 4**k <= 64 entries. Built once per (method, nodes, k); the
+    design rule takes nodes None, and the three channels of one node count
+    share one cached grid.
 
     The quadrature sum over the axis azimuth phi is done in closed form.
     Turning the axis by phi about z conjugates U by Z = exp(-i phi sigma_z /
@@ -277,10 +275,8 @@ def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     else:
         us, weights = _quadrature_elements(nodes)
     da = 2**k
-    gram = np.zeros((da * da, da * da), dtype=complex)
-    for lo in range(0, len(us), _CHUNK):
-        a = _kron_stack(us[lo : lo + _CHUNK], k).reshape(-1, da * da)
-        gram += a.T @ (weights[lo : lo + _CHUNK, None] * a.conj())
+    a = _kron_stack(us, k).reshape(-1, da * da)
+    gram = a.T @ (weights[:, None] * a.conj())
     if method == "quadrature":
         ones = np.array([bin(i).count("1") for i in range(da)])
         pair = (ones[:, None] - ones[None, :]).reshape(-1)  # |c| - |a| per (c, a)
@@ -403,12 +399,8 @@ def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int
     The engine averages one label after the other; the boxes are
     independent, so the order is immaterial. A Monte Carlo average of an
     operator goes through _mc_operator_average with x as a factor pair.
-
-    Returns
-    -------
-    (ndarray, int, float)
-        The averaged operator, the size of the rule applied per label (24 or
-        nodes**3), and an entrywise standard-error bound, always 0.
+    Returns the averaged operator and the size of the rule applied per label
+    (24 or nodes**3).
     """
     pattern = as_pattern(pattern)
     n = len(pattern)
@@ -425,7 +417,7 @@ def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int
     for label in ("U", "V"):
         x = _twirl_one_label(x, pattern.wires(label), n, method, rule_nodes)
     terms = len(clifford_group()) if method == "design" else nodes**3
-    return x, terms, 0.0
+    return x, terms
 
 
 def average_pattern(
@@ -454,7 +446,8 @@ def average_pattern(
         rho, stderr = _mc_operator_average(ket, ket, pattern, samples, seed)
         count = samples
     else:
-        rho, count, stderr = twirl_operator(states.density(psi), pattern, method, nodes=nodes)
+        rho, count = twirl_operator(states.density(psi), pattern, method, nodes=nodes)
+        stderr = 0.0
     states.check_density(rho)
     return AverageResult(rho, method, count, stderr)
 
@@ -470,24 +463,18 @@ class IdentityCheck:
     passed: bool
 
 
-def twirl_identity_suite(
-    methods=_METHODS,
-    *,
-    nodes: int = DEFAULT_NODES,
-    samples: int = 100_000,
-    seed: int = 424242,
-):
+def twirl_identity_suite(methods=_METHODS, *, samples: int = 100_000, seed: int = 424242):
     """Check the six closed-form single- and two-wire averages per engine.
 
     One box acting on one wire sends |0><0| and |1><1| to I/2 and kills the
     off-diagonal |0><1|; the same box on both wires sends |00><00| to a third
     of the symmetric projector and kills both |00><11| and the
     singlet-to-|00> coherence. Each case is the ket pair (a, b) of its
-    operator |a><b|. Both exact engines twirl the operator and are held to
-    1e-12; Monte Carlo pushes a and b through the boxes as two kets, even
-    when they are equal, and is held to four standard errors of its own
-    estimate, with one independent stream per identity spawned from
-    ``seed``.
+    operator |a><b|. Both exact engines twirl the operator, quadrature on
+    DEFAULT_NODES nodes, and are held to 1e-12; Monte Carlo pushes a and b
+    through the boxes as two kets, even when they are equal, and is held to
+    four standard errors of its own estimate, with one independent stream
+    per identity spawned from ``seed``.
     """
     eye2 = np.eye(2, dtype=complex) / 2.0
     p_sym, _ = states.sym_antisym_projectors((0, 1), 2)
@@ -512,10 +499,10 @@ def twirl_identity_suite(
                 avg, stderr = _mc_operator_average(
                     a[:, None], b[:, None], as_pattern(pattern), samples, case_seed
                 )
+                tol = 4.0 * stderr
             else:
-                x = np.outer(a, b.conj())
-                avg, _, stderr = twirl_operator(x, pattern, method, nodes=nodes)
+                avg, _ = twirl_operator(np.outer(a, b.conj()), pattern, method)
+                tol = 1e-12
             deviation = float(np.max(np.abs(avg - expected)))
-            tol = 4.0 * stderr if method == "monte_carlo" else 1e-12
             checks.append(IdentityCheck(name, method, deviation, tol, deviation <= tol))
     return checks

@@ -70,9 +70,9 @@ def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
     Returns
     -------
     ndarray
-        Same kind of object as the input with factors relabelled.
+        Same kind of object and dtype as the input with factors relabelled.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     perm = tuple(int(p) for p in perm)
     n = len(perm)
     if sorted(perm) != list(range(n)):
@@ -113,11 +113,6 @@ def herm_eig(m: np.ndarray) -> tuple:
         raise ValueError(f"matrix is not Hermitian (deviation {err:.3g})")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def abs_eig_sum(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix (its trace norm)."""
-    return float(np.sum(np.abs(herm_eig(m)[0])))
 
 
 def range_basis(rho: np.ndarray) -> Subspace:

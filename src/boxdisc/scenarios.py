@@ -43,6 +43,7 @@ from .discrimination import (
     PovmReport,
     helstrom,
     outcome_probs,
+    scored_figure,
     unambiguous_eval,
     unambiguous_subspace_povm,
     validate_povm,
@@ -356,31 +357,6 @@ def _hypothesis_key(state: np.ndarray, pattern: BoxPattern) -> tuple:
     return state.tobytes(), str(pattern)
 
 
-class _McTally:
-    """Streaming mean and standard error of one scenario's per-sample figure.
-
-    _mc_figures feeds it one chunk of per-sample values at a time. The
-    variance is accumulated from deviations from the first sample's value,
-    so a constant figure has stderr 0.
-    """
-
-    def __init__(self):
-        self.total = self.dev = self.dev_sq = 0.0
-        self.shift = None
-
-    def add(self, values: np.ndarray) -> None:
-        if self.shift is None:
-            self.shift = values[0]
-        self.total += float(values.sum())
-        self.dev += float((values - self.shift).sum())
-        self.dev_sq += float(((values - self.shift) ** 2).sum())
-
-    def figure(self, samples: int) -> tuple:
-        mean = self.total / samples
-        var = max(self.dev_sq / samples - (self.dev / samples) ** 2, 0.0)
-        return mean, float(np.sqrt(var / samples))
-
-
 def _mc_figures(batch, samples: int, seed) -> list:
     """Per-sample Monte Carlo estimates of each scenario's analytic figure.
 
@@ -402,8 +378,10 @@ def _mc_figures(batch, samples: int, seed) -> list:
     over the real and imaginary parts, with no conjugate. Every scenario reads
     the same stream, so its figure is the same in any batch as on its own.
     A scenario without box V reads the U block as if it drew U alone, while
-    one without box U reads the V block that follows it. Returns one (mean,
-    stderr) per scenario, in batch order.
+    one without box U reads the V block that follows it. Per scenario, the
+    chunks add up the values and their moments about its first sample's
+    value, so a constant figure has stderr 0. Returns one (mean, stderr) per
+    scenario, in batch order.
     """
     if samples <= 0:
         raise ValueError("Monte Carlo needs samples > 0")
@@ -415,7 +393,8 @@ def _mc_figures(batch, samples: int, seed) -> list:
                 op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
                 key = _hypothesis_key(scenario.state, pattern)
                 plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
-    tallies = [_McTally() for _ in batch]
+    total, dev, dev_sq = np.zeros((3, len(batch)))
+    shift = None
     for m, gates in haar.draw_boxes(samples, seed, "UV"):
         values = np.zeros((len(batch), m))
         for psi, pattern, consumers in plan.values():
@@ -429,9 +408,16 @@ def _mc_figures(batch, samples: int, seed) -> list:
             for i, op in consumers:
                 terms = np.einsum("ij,ij->j", (op @ out).view(float), out.view(float))
                 values[i] += terms[0::2] + terms[1::2]
-        for tally, row in zip(tallies, values):
-            tally.add(row)
-    return [tally.figure(samples) for tally in tallies]
+        if shift is None:
+            shift = values[:, :1].copy()
+        total += values.sum(axis=1)
+        values -= shift
+        dev += values.sum(axis=1)
+        dev_sq += np.square(values, out=values).sum(axis=1)
+    return [
+        (t / samples, float(np.sqrt(max(s / samples - (d / samples) ** 2, 0.0) / samples)))
+        for t, d, s in zip(total.tolist(), dev.tolist(), dev_sq.tolist())
+    ]
 
 
 def run_scenarios(
@@ -499,9 +485,8 @@ def run_scenarios(
         else:
             analytic = helstrom(*rhos).p_error
             cross_talk = None
-            probs = (outcome_probs(scenario.povm, rho) for rho in rhos)
-            wrong = [sum(p[l] for l in labels) for p, labels in zip(probs, scenario.povm.scored)]
-            povm_error = float(0.5 * sum(wrong))
+            probs = [outcome_probs(scenario.povm, rho) for rho in rhos]
+            _, povm_error = scored_figure(probs, scenario.povm.scored)
             metadata = {"povm_error": povm_error}
             mode_gate = abs(povm_error - analytic) <= PASS_TOL
         passed = (
@@ -652,8 +637,8 @@ def singlet_weight_scan(grid) -> list:
             raise ValueError(f"singlet weight {w} outside [0, 1]")
         psi = np.sqrt(w) * states.bell("psi-") + np.sqrt(1.0 - w) * states.bell("psi+")
         rho1 = haar.average_pattern(psi, "UU").rho
-        delta = rho1 - eye4
-        trace_norm = linalg.abs_eig_sum(delta)
-        p_error = helstrom(rho1, eye4).p_error
-        rows.append(WeightScanRow(w, trace_norm, 2.0 * abs(0.25 - w), p_error))
+        # helstrom diagonalizes (rho1 - eye4) / 2: half the trace norm.
+        h = helstrom(rho1, eye4)
+        trace_norm = 2.0 * float(np.sum(np.abs(h.eigenvalues)))
+        rows.append(WeightScanRow(w, trace_norm, 2.0 * abs(0.25 - w), h.p_error))
     return rows

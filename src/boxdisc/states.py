@@ -89,21 +89,9 @@ def embed_operator(op: np.ndarray, wires, n: int) -> np.ndarray:
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} wires")
     full = op if n == k else np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    return linalg.permute_qubits(full, _placement(wires, n))
-
-
-def _placement(wires, n: int) -> list:
-    """Qubit permutation that moves leading factor k onto wires[k].
-
-    The remaining factors fill the other wires in order. Feed it to
-    permute_qubits together with a register whose first len(wires) qubits
-    are the factors being placed.
-    """
-    perm = [-1] * n
-    for pos, w in enumerate(wires):
-        perm[w] = pos
-    rest = iter(range(len(wires), n))
-    return [p if p >= 0 else next(rest) for p in perm]
+    # Factor k lands on wires[k] and the identity fills the rest in order.
+    rest = tuple(w for w in range(n) if w not in wires)
+    return linalg.permute_qubits(full, np.argsort(wires + rest))
 
 
 def sym_antisym_projectors(pair, n: int):

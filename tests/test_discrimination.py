@@ -9,6 +9,7 @@ from boxdisc.discrimination import (
     _principal_vectors,
     helstrom,
     outcome_probs,
+    scored_figure,
     unambiguous_eval,
     unambiguous_subspace_povm,
     validate_povm,
@@ -137,6 +138,17 @@ class TestHelstrom:
         r2 = random_density(rng, 4)
         assert abs(helstrom(r1, r2).p_error - helstrom(r2, r1).p_error) <= 1e-12
 
+    @given(seeds)
+    def test_eigenvalues_give_trace_norm(self, seed):
+        # singlet_weight_scan reads the trace norm of rho1 - rho2 as twice
+        # the absolute eigenvalue sum of helstrom's halved difference.
+        rng = np.random.default_rng(seed)
+        r1 = random_density(rng, 4)
+        r2 = random_density(rng, 4)
+        trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(r1 - r2))))
+        lam = helstrom(r1, r2).eigenvalues
+        assert 2.0 * float(np.sum(np.abs(lam))) == pytest.approx(trace_norm, abs=1e-10)
+
 
 class TestSingletWeightScan:
     def test_matches_closed_form_on_grid(self):
@@ -177,6 +189,14 @@ class TestUnambiguousEval:
         guesses = helstrom(p_anti, np.eye(4) / 4).optimal_projectors
         with pytest.raises(ValueError, match="not unambiguous"):
             unambiguous_eval(guesses, [p_anti, np.eye(4) / 4])
+
+    def test_success_is_the_scored_figure(self):
+        _, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        rhos = [p_anti, np.eye(4) / 4]
+        povm = projective_pair()
+        res = unambiguous_eval(povm, rhos)
+        probs = [outcome_probs(povm, rho) for rho in rhos]
+        assert scored_figure(probs, povm.scored) == (res.per_state_success, res.p_success)
 
     def test_state_count_must_match_the_labels(self):
         # identify-2 names the second hypothesis, so one state leaves it
@@ -283,6 +303,13 @@ class TestUnambiguousSubspacePovm:
         w = float(np.real(np.trace(povm.elements["identify-1"])))
         assert w == pytest.approx(1.0 / (1.0 + c), abs=1e-9)
         assert validate_povm(povm).valid
+
+    def test_pair_weight_rejects_nan(self):
+        # A NaN vector leaves a NaN block eigenvalue, which must not pass
+        # the positivity-boundary check.
+        u = np.array([1.0, 0.0], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="not 0"):
+            discrimination._pair_weight(u, np.array([np.nan, 1.0]), u, u, 0.5)
 
     @pytest.mark.parametrize("angle", [1e-4, 1e-3, 1e-2])
     def test_near_parallel_lines_take_closed_form_weight(self, angle):

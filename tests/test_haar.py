@@ -224,9 +224,9 @@ class TestEngineAgreement:
 
     def test_cached_channels_stable_and_read_only(self):
         x = states.density(states.approx_double_singlet_3q())
-        first, _, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
+        first, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
         twirl_operator(x, "UVU", "quadrature", nodes=8)
-        last, _, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
+        last, _ = twirl_operator(x, "UVU", "quadrature", nodes=24)
         assert np.array_equal(first, last)
         channel = haar._twirl_channel("quadrature", 24, 2)
         with pytest.raises(ValueError):
@@ -248,19 +248,12 @@ class TestEngineAgreement:
         t = haar._twirl_channel(method, nodes, k)
         assert np.max(np.abs(t - _einsum_channel(method, nodes, k))) <= 1e-13
 
-    def test_chunked_channel_build_matches_unchunked(self, monkeypatch):
-        rules = (("design", None), ("quadrature", 8))
-        try:
-            haar._twirl_channel.cache_clear()
-            monkeypatch.setattr(haar, "_CHUNK", 10**9)
-            whole = {rule: haar._twirl_channel(*rule, 3) for rule in rules}
-            haar._twirl_channel.cache_clear()
-            monkeypatch.setattr(haar, "_CHUNK", 5)
-            for rule, t in whole.items():
-                assert np.max(np.abs(haar._twirl_channel(*rule, 3) - t)) <= 1e-13
-        finally:
-            # Channels built from 5-element chunks must not serve later tests.
-            haar._twirl_channel.cache_clear()
+    def test_largest_rule_fits_one_chunk(self):
+        # The channel build sums every element of its rule in one matrix
+        # product; the largest rule must stay within the _CHUNK bound that
+        # the Monte Carlo draw keeps too.
+        assert len(haar._quadrature_elements(haar.MAX_NODES)[1]) <= haar._CHUNK
+        assert len(haar.clifford_group()) <= haar._CHUNK
 
     def test_monte_carlo_within_four_stderr(self):
         psi = states.approx_double_singlet_3q()
@@ -331,7 +324,7 @@ class TestNodeThreshold:
 
         for x in coherences:
             for method in ("design", "quadrature"):
-                avg, _, _ = twirl_operator(x, "UUU", method, nodes=haar.MIN_NODES)
+                avg, _ = twirl_operator(x, "UUU", method, nodes=haar.MIN_NODES)
                 assert np.max(np.abs(avg)) <= 1e-12, method
         # twirl_operator refuses the aliased rule, so the label is twirled directly.
         below = haar._twirl_one_label(coherences[0], (0, 1, 2), 3, "quadrature", haar.MIN_NODES - 1)
@@ -450,7 +443,7 @@ def _mc_figures_row_sum(batch, samples, seed):
                 op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
                 key = scenarios._hypothesis_key(scenario.state, pattern)
                 plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
-    tallies = [scenarios._McTally() for _ in batch]
+    tallies = [[0.0, None, 0.0, 0.0] for _ in batch]  # total, shift, dev, dev_sq
     for m, gates in haar.draw_boxes(samples, seed, "UV"):
         values = np.zeros((len(batch), m))
         for psi, pattern, consumers in plan.values():
@@ -459,8 +452,16 @@ def _mc_figures_row_sum(batch, samples, seed):
             for i, op in consumers:
                 values[i] += np.real(np.sum((out.conj() @ op) * out, axis=1))
         for tally, row in zip(tallies, values):
-            tally.add(row)
-    return [tally.figure(samples) for tally in tallies]
+            if tally[1] is None:
+                tally[1] = row[0]
+            tally[0] += float(row.sum())
+            tally[2] += float((row - tally[1]).sum())
+            tally[3] += float(((row - tally[1]) ** 2).sum())
+    figures = []
+    for total, _, dev, dev_sq in tallies:
+        var = max(dev_sq / samples - (dev / samples) ** 2, 0.0)
+        figures.append((total / samples, float(np.sqrt(var / samples))))
+    return figures
 
 
 class TestMonteCarloKernel:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from boxdisc import linalg
 from boxdisc.linalg import (
     Subspace,
-    abs_eig_sum,
     herm_eig,
     permute_qubits,
     range_basis,
@@ -58,6 +57,32 @@ class TestPermuteQubits:
         with pytest.raises(ValueError):
             permute_qubits(np.zeros(5), (0, 1))
 
+    @pytest.mark.parametrize("dtype", [float, int, np.int8])
+    def test_keeps_real_and_integer_dtypes(self, dtype):
+        m = np.arange(64).reshape(8, 8).astype(dtype)
+        out = permute_qubits(m, (2, 0, 1))
+        assert out.dtype == m.dtype
+        assert np.array_equal(out, permute_qubits(m.astype(complex), (2, 0, 1)).real)
+
+    def test_passes_fraction_objects_through(self):
+        from fractions import Fraction
+
+        v = np.array([Fraction(i, 7) for i in range(8)], dtype=object)
+        out = permute_qubits(v, (1, 2, 0))
+        assert out.dtype == object and all(type(x) is Fraction for x in out)
+        assert list(out) == [v[int(f"{b:03b}"[2] + f"{b:03b}"[:2], 2)] for b in range(8)]
+
+    @given(seeds, st.permutations(list(range(3))))
+    def test_complex_output_is_a_pure_reorder(self, seed, perm):
+        # Complex input comes back as the same entries in the new order: the
+        # bits of every entry are unchanged.
+        rng = np.random.default_rng(seed)
+        m = random_hermitian(rng, 8)
+        out = permute_qubits(m, perm)
+        assert out.dtype == complex
+        idx = permute_qubits(np.arange(64).reshape(8, 8), perm)
+        assert np.array_equal(out.view(np.uint64), m.reshape(-1)[idx].view(np.uint64))
+
     @given(seeds, st.permutations(list(range(3))))
     def test_vector_roundtrip_is_isometry(self, seed, perm):
         rng = np.random.default_rng(seed)
@@ -103,19 +128,6 @@ class TestHermEig:
     def test_known_eigenvalues(self):
         vals, _ = herm_eig(np.diag([1.0, -2.0, 0.5]))
         assert np.allclose(vals, [1.0, 0.5, -2.0])
-
-
-class TestAbsEigSum:
-    def test_known_value(self):
-        assert abs_eig_sum(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
-
-    @given(seeds)
-    def test_matches_eigvalsh(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, 6)
-        assert abs_eig_sum(m) == pytest.approx(
-            float(np.sum(np.abs(np.linalg.eigvalsh(m)))), abs=1e-10
-        )
 
 
 class TestRangeBasis:
