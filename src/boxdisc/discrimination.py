@@ -12,8 +12,10 @@ always carry prior 1/2.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,9 +57,18 @@ _LABELS = {
 
 @dataclass(frozen=True)
 class Povm:
-    """Named measurement elements; labels carry the decision semantics."""
+    """Named measurement elements; labels carry the decision semantics.
+
+    Construction freezes the POVM: the elements are copied into stack, one
+    read-only complex array of shape (len(labels), dim, dim), and elements
+    becomes a read-only mapping of views into it. So the caller's dict and
+    arrays stay its own, and editing them later changes nothing here.
+    decision and scored are computed on first access and then kept;
+    dataclasses.replace builds a new Povm with tables of its own.
+    """
 
     elements: dict
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -65,6 +76,10 @@ class Povm:
         dims = {np.asarray(e).shape for e in self.elements.values()}
         if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
             raise ValueError(f"elements must share one square shape, got {dims}")
+        stack = np.stack([np.asarray(e, dtype=complex) for e in self.elements.values()])
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", MappingProxyType(dict(zip(self.elements, stack))))
 
     @property
     def labels(self) -> tuple:
@@ -72,9 +87,9 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.elements.values())).shape[0]
+        return self.stack.shape[1]
 
-    @property
+    @functools.cached_property
     def decision(self) -> tuple:
         """(mode, mapping) fixed by the outcome labels through _LABELS.
 
@@ -91,7 +106,7 @@ class Povm:
         mapping = {l: _LABELS[l][1] for l in self.labels if _LABELS[l][1] is not None}
         return modes.pop(), mapping
 
-    @property
+    @functools.cached_property
     def scored(self) -> tuple:
         """Labels whose probability on hypothesis i counts toward the figure.
 
@@ -125,10 +140,10 @@ class PovmReport:
 def validate_povm(povm: Povm) -> PovmReport:
     """Check Hermiticity, positivity and completeness, returning the margins.
 
-    The thresholds are linalg.HERM_TOL, linalg.PSD_FLOOR and SUM_TOL. The
-    elements are stacked, so all eigensolves are one batched call.
+    The thresholds are linalg.HERM_TOL, linalg.PSD_FLOOR and SUM_TOL. All
+    eigensolves are one batched call on the POVM's element stack.
     """
-    stack = np.stack([np.asarray(e, dtype=complex) for e in povm.elements.values()])
+    stack = povm.stack
     adjoint = stack.conj().transpose(0, 2, 1)
     herm = dict(zip(povm.labels, map(float, np.max(np.abs(stack - adjoint), axis=(1, 2)))))
     lowest = np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0]
@@ -143,14 +158,18 @@ def validate_povm(povm: Povm) -> PovmReport:
 
 
 def outcome_probs(povm: Povm, rho: np.ndarray) -> dict:
-    """Outcome distribution Tr(E rho) per label; must sum to 1 within 1e-10."""
+    """Outcome distribution Tr(E rho) per label; must sum to 1 within 1e-10.
+
+    All elements are applied in one stacked product on the POVM's stack.
+    Each stacked item is the same C-contiguous matrix product as E @ rho
+    alone, and the batched trace sums the same diagonal, so every value has
+    the bits of the per-element Tr(E rho).
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (povm.dim, povm.dim):
         raise ValueError(f"state shape {rho.shape} does not match POVM dim {povm.dim}")
-    probs = {
-        label: float(np.real(np.trace(np.asarray(e) @ rho)))
-        for label, e in povm.elements.items()
-    }
+    values = np.real(np.trace(povm.stack @ rho, axis1=1, axis2=2))
+    probs = dict(zip(povm.labels, map(float, values)))
     total = sum(probs.values())
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
@@ -247,7 +266,7 @@ def with_fail(elements: dict) -> Povm:
 
     The elements are subtracted from the identity one by one, in order.
     """
-    fail = np.eye(next(iter(elements.values())).shape[0], dtype=complex)
+    fail = np.eye(np.asarray(next(iter(elements.values()))).shape[0], dtype=complex)
     for e in elements.values():
         fail = fail - e
     return Povm({**elements, "fail": fail})

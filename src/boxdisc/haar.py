@@ -297,11 +297,20 @@ def _twirl_one_label(x: np.ndarray, wires, n: int, method: str, nodes: int | Non
     if k == 0:
         return x
     t = _twirl_channel(method, nodes, k)
-    rest = tuple(w for w in range(n) if w not in wires)
-    axes = tuple(wires) + tuple(w + n for w in wires) + rest + tuple(w + n for w in rest)
+    axes, inverse = _axis_order(tuple(wires), n)
     xt = x.reshape((2,) * (2 * n)).transpose(axes).reshape(4**k, -1)
-    y = (t @ xt).reshape((2,) * (2 * n)).transpose(np.argsort(axes))
+    y = (t @ xt).reshape((2,) * (2 * n)).transpose(inverse)
     return y.reshape(2**n, 2**n)
+
+
+@functools.cache
+def _axis_order(wires: tuple, n: int) -> tuple:
+    """(axes, inverse): the transpose that moves the row and column qubits of
+    ``wires`` to the front of an n-wire operator, and the one that undoes it.
+    """
+    rest = tuple(w for w in range(n) if w not in wires)
+    axes = wires + tuple(w + n for w in wires) + rest + tuple(w + n for w in rest)
+    return axes, tuple(int(i) for i in np.argsort(axes))
 
 
 def draw_boxes(samples: int, seed, labels):

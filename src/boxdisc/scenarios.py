@@ -7,8 +7,9 @@ mode and the outcomes each hypothesis scores, and the id fixes the reference
 success (or error) probability the implementation has to reproduce. These
 five choices are all a Scenario is built from; the rest is derived.
 Scenario construction is pure, so build_scenario builds each scenario once
-per process and hands out the same frozen object afterwards: its arrays and
-element table are read-only, and its POVM is validated once, at construction.
+per process and hands out the same frozen object afterwards: its state is a
+read-only copy, its Povm froze its own elements and tables when it was
+built, and its POVM is validated once, at construction.
 Running a scenario averages the state under both hypotheses with the chosen
 engine, scores the measurement, and optionally cross-checks the figure with
 a per-sample Monte Carlo simulation of the actual experiment.
@@ -33,7 +34,6 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from types import MappingProxyType
 
 import numpy as np
 
@@ -108,11 +108,11 @@ class Scenario:
     scenario id or an auxiliary name; mode follows from the POVM labels
     (see Povm.decision), and so do the outcomes each hypothesis scores (see
     Povm.scored). Construction also freezes the scenario: patterns become
-    BoxPatterns, the state and POVM elements read-only array copies, the
-    element table a read-only mapping, and povm_report keeps validate_povm's
-    report. dataclasses.replace goes through the same steps, so a variant
-    carries the mode and report of its own POVM. Equality is identity, like
-    the per-process cache of build_scenario.
+    BoxPatterns and the state a read-only array copy, and povm_report keeps
+    validate_povm's report. The Povm is already frozen (see Povm), so it is
+    kept as given. dataclasses.replace goes through the same steps, so a
+    variant carries the mode and report of its own POVM. Equality is
+    identity, like the per-process cache of build_scenario.
     """
 
     id: str
@@ -126,16 +126,13 @@ class Scenario:
     povm_report: PovmReport = field(init=False)
 
     def __post_init__(self):
-        elements = {label: _read_only(e) for label, e in self.povm.elements.items()}
-        povm = Povm(MappingProxyType(elements))
         object.__setattr__(self, "state", _read_only(self.state))
         object.__setattr__(self, "pattern1", as_pattern(self.pattern1))
         object.__setattr__(self, "pattern2", as_pattern(self.pattern2))
-        object.__setattr__(self, "povm", povm)
-        object.__setattr__(self, "mode", povm.decision[0])
+        object.__setattr__(self, "mode", self.povm.decision[0])
         object.__setattr__(self, "paper_value", reference_value(self.id))
         object.__setattr__(self, "citation", reference_citation(self.id))
-        object.__setattr__(self, "povm_report", validate_povm(povm))
+        object.__setattr__(self, "povm_report", validate_povm(self.povm))
 
 
 @dataclass(frozen=True)
@@ -390,7 +387,7 @@ def _mc_figures(batch, samples: int, seed) -> list:
         patterns = (scenario.pattern1, scenario.pattern2)
         for pattern, scored in zip(patterns, scenario.povm.scored):
             if scored:
-                op = 0.5 * sum(np.asarray(scenario.povm.elements[l]) for l in scored)
+                op = 0.5 * sum(scenario.povm.elements[l] for l in scored)
                 key = _hypothesis_key(scenario.state, pattern)
                 plan.setdefault(key, (scenario.state, pattern, []))[2].append((i, op))
     total, dev, dev_sq = np.zeros((3, len(batch)))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxdisc import discrimination, linalg, states
+from boxdisc import discrimination, haar, linalg, scenarios, states
 from boxdisc.discrimination import (
     Povm,
     _principal_vectors,
@@ -13,6 +15,7 @@ from boxdisc.discrimination import (
     unambiguous_eval,
     unambiguous_subspace_povm,
     validate_povm,
+    with_fail,
 )
 from boxdisc.linalg import Subspace
 from boxdisc.scenarios import singlet_weight_scan
@@ -65,6 +68,89 @@ class TestPovmValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Povm({})
+
+
+class TestPovmFreeze:
+    def test_nested_list_elements(self):
+        povm = Povm({"identify-1": [[1, 0], [0, 0]], "fail": [[0, 0], [0, 1]]})
+        assert povm.dim == 2
+        assert validate_povm(povm).valid
+        assert outcome_probs(povm, np.eye(2) / 2) == {"identify-1": 0.5, "fail": 0.5}
+
+    def test_with_fail_takes_nested_lists(self):
+        povm = with_fail({"identify-1": [[0.5, 0], [0, 0]]})
+        assert validate_povm(povm).valid
+        assert np.array_equal(povm.elements["fail"], np.diag([0.5, 1.0]))
+
+    def test_editing_the_source_dict_changes_nothing(self):
+        source = {"guess-1": np.diag([1.0, 0.0]), "guess-2": np.diag([0.0, 1.0])}
+        povm = Povm(source)
+        source["bogus"] = np.eye(2)
+        assert povm.labels == ("guess-1", "guess-2")
+        assert povm.decision == ("min_error", {"guess-1": 0, "guess-2": 1})
+
+    def test_editing_a_source_array_changes_nothing(self):
+        e = np.diag([1.0, 0.0])
+        povm = Povm({"guess-1": e, "guess-2": np.eye(2) - e})
+        rho = np.diag([0.25, 0.75])
+        before = outcome_probs(povm, rho)
+        e[0, 0] = 0.5
+        assert outcome_probs(povm, rho) == before
+        assert validate_povm(povm).valid
+
+    def test_elements_are_read_only_views_of_the_stack(self):
+        povm = projective_pair()
+        assert povm.stack.shape == (2, 4, 4) and povm.stack.dtype == complex
+        for e, item in zip(povm.elements.values(), povm.stack):
+            assert np.shares_memory(e, povm.stack) and np.array_equal(e, item)
+        with pytest.raises(ValueError):
+            povm.elements["fail"][0, 0] = 0
+        with pytest.raises(ValueError):
+            povm.stack[0, 0, 0] = 0
+        with pytest.raises(TypeError):
+            povm.elements["extra"] = np.eye(4)
+
+    def test_tables_are_computed_once(self):
+        povm = projective_pair()
+        assert povm.decision is povm.decision
+        assert povm.scored is povm.scored
+
+    def test_replaced_povm_has_its_own_tables(self):
+        povm = projective_pair()
+        assert povm.scored == ((), ("identify-2",))
+        p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        variant = dataclasses.replace(povm, elements={"guess-1": p_anti, "guess-2": p_sym})
+        assert variant.decision == ("min_error", {"guess-1": 0, "guess-2": 1})
+        assert variant.scored == (("guess-2",), ("guess-1",))
+        assert povm.decision == ("unambiguous", {"identify-2": 1})
+        assert not np.shares_memory(variant.stack, povm.stack)
+
+    def test_bad_label_raises_on_every_access(self):
+        povm = Povm({"only": np.eye(2)})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown POVM labels"):
+                povm.decision
+
+
+#: Exact rules whose averages the stacked outcome_probs is pinned on.
+_EXACT_RULES = (("design", haar.DEFAULT_NODES), ("quadrature", haar.MIN_NODES), ("quadrature", 24))
+
+
+class TestStackedOutcomeProbs:
+    """outcome_probs' one stacked product has the bits of Tr(E rho) per element."""
+
+    @pytest.mark.parametrize("method, nodes", _EXACT_RULES)
+    @pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
+    def test_bits_match_per_element_trace(self, sid, method, nodes):
+        scenario = scenarios.build_scenario(sid)
+        for pattern in (scenario.pattern1, scenario.pattern2):
+            rho = haar.average_pattern(scenario.state, pattern, method, nodes=nodes).rho
+            want = {
+                label: float(np.real(np.trace(np.array(e) @ rho))).hex()
+                for label, e in scenario.povm.elements.items()
+            }
+            got = {label: p.hex() for label, p in outcome_probs(scenario.povm, rho).items()}
+            assert got == want, (sid, str(pattern))
 
 
 class TestOutcomeProbs:

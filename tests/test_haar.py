@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,40 @@ class TestNodeThreshold:
         # twirl_operator refuses the aliased rule, so the label is twirled directly.
         below = haar._twirl_one_label(coherences[0], (0, 1, 2), 3, "quadrature", haar.MIN_NODES - 1)
         assert abs(np.max(np.abs(below)) - 0.25) <= 1e-12
+
+
+def _twirl_one_label_per_call(x, wires, n, method, nodes):
+    """_twirl_one_label with its axis order rebuilt and argsorted on every call."""
+    k = len(wires)
+    if k == 0:
+        return x
+    t = haar._twirl_channel(method, nodes, k)
+    rest = tuple(w for w in range(n) if w not in wires)
+    axes = tuple(wires) + tuple(w + n for w in wires) + rest + tuple(w + n for w in rest)
+    xt = x.reshape((2,) * (2 * n)).transpose(axes).reshape(4**k, -1)
+    y = (t @ xt).reshape((2,) * (2 * n)).transpose(np.argsort(axes))
+    return y.reshape(2**n, 2**n)
+
+
+class TestTwirlAxisOrder:
+    """The cached axis order gives the bits of the per-call one."""
+
+    @pytest.mark.parametrize("method, nodes", (("design", None), ("quadrature", haar.DEFAULT_NODES)))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_bits_match_per_call_axis_order(self, n, method, nodes):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        for k in range(min(n, haar.DESIGN_COPY_LIMIT) + 1):
+            for wires in itertools.combinations(range(n), k):
+                got = np.ascontiguousarray(haar._twirl_one_label(x, wires, n, method, nodes))
+                want = np.ascontiguousarray(_twirl_one_label_per_call(x, wires, n, method, nodes))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), wires
+
+    def test_axis_order_is_computed_once(self):
+        assert haar._axis_order((0, 2), 3) is haar._axis_order((0, 2), 3)
+        axes, inverse = haar._axis_order((0, 2), 3)
+        assert axes == (0, 2, 3, 5, 1, 4)
+        assert tuple(axes[i] for i in inverse) == tuple(range(6))
 
 
 def _einsum_channel(method, nodes, k):
