@@ -62,7 +62,7 @@ def _check_args(args) -> str | None:
     return None
 
 
-def execute(ids, method="design", samples=0, seed=0, nodes=haar.DEFAULT_NODES) -> tuple:
+def execute(ids, method="design", samples=0, seed=0, nodes=haar.MIN_NODES) -> tuple:
     """Run each distinct scenario id in sorted order; returns (records, all_passed).
 
     monte_carlo runs the design engine plus the sampled cross-check; the
@@ -190,11 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--nodes",
         type=int,
-        default=haar.DEFAULT_NODES,
+        default=haar.MIN_NODES,
         metavar="N",
         help=(
             f"quadrature nodes per angle, from {haar.MIN_NODES} to {haar.MAX_NODES} "
-            f"(default: {haar.DEFAULT_NODES})"
+            f"(default: {haar.MIN_NODES})"
         ),
     )
     parser.add_argument(

@@ -55,7 +55,7 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Named measurement elements; labels carry the decision semantics.
 
@@ -65,10 +65,11 @@ class Povm:
     arrays stay its own, and editing them later changes nothing here.
     decision and scored are computed on first access and then kept;
     dataclasses.replace builds a new Povm with tables of its own.
+    Equality is identity.
     """
 
     elements: dict
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -182,13 +183,13 @@ def scored_figure(probs, scored) -> tuple:
     return per_state, float(0.5 * sum(per_state))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinErrorResult:
     """Minimum-error discrimination data for an equal-prior state pair.
 
     eigenvalues are those of rho1/2 - rho2/2 in descending order;
     optimal_projectors is the two-outcome measurement ("guess-1"/"guess-2")
-    that attains p_error.
+    that attains p_error. Equality is identity.
     """
 
     p_error: float

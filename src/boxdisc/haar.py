@@ -59,19 +59,15 @@ from . import states
 DESIGN_COPY_LIMIT = 3
 
 #: Fewest quadrature nodes per angle for which the rule is exact on up to
-#: DESIGN_COPY_LIMIT copies (see _quadrature_elements).
+#: DESIGN_COPY_LIMIT copies (see _quadrature_elements), and the default node
+#: count: more nodes add no exactness, only build time.
 MIN_NODES = 2 * DESIGN_COPY_LIMIT + 1
 
 #: Most quadrature nodes per angle. The rule has nodes**3 points, of which the
 #: channel build holds and sums the nodes**2 at axis azimuth 0: at 64 nodes a
 #: cold `--all --method quadrature` peaks near 47 MB (89 MB when all nodes**3
-#: were summed). More nodes add no exactness, only build time.
+#: were summed).
 MAX_NODES = 64
-
-#: Default node count per angle for the quadrature engine. Any count from
-#: MIN_NODES on is exact up to rounding; the 24**2 summed points of the
-#: default cost more only in the one-time build of each channel.
-DEFAULT_NODES = 24
 
 _METHODS = ("design", "quadrature", "monte_carlo")
 
@@ -83,7 +79,8 @@ _CHUNK = 4096
 class BoxPattern:
     """Per-wire box assignment, e.g. ("U", "V", "U", "I").
 
-    Labels "U" and "V" are the two unknown boxes, "I" leaves the wire alone.
+    Labels "U" and "V" are the two unknown boxes, "I" leaves the wire alone;
+    a string such as "uvui" is read in upper case, one label per character.
     At most DESIGN_COPY_LIMIT wires may share a box label so that the design
     engine stays exact.
     """
@@ -91,7 +88,7 @@ class BoxPattern:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        labels = tuple(self.labels.upper() if isinstance(self.labels, str) else self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("a pattern needs at least one wire")
@@ -105,10 +102,6 @@ class BoxPattern:
                     f"design sum only covers up to {DESIGN_COPY_LIMIT}"
                 )
 
-    @classmethod
-    def from_string(cls, text: str) -> "BoxPattern":
-        return cls(tuple(text.upper()))
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -120,20 +113,17 @@ class BoxPattern:
 
 
 def as_pattern(pattern) -> BoxPattern:
-    if isinstance(pattern, BoxPattern):
-        return pattern
-    if isinstance(pattern, str):
-        return BoxPattern.from_string(pattern)
-    return BoxPattern(tuple(pattern))
+    return pattern if isinstance(pattern, BoxPattern) else BoxPattern(pattern)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageResult:
     """Averaged state plus provenance of the engine that produced it.
 
-    samples holds the size of the rule (group order, the nodes**3 points of
-    the quadrature rule, or sample count); stderr_bound is 0 for the exact engines and the largest
-    entrywise standard error for Monte Carlo.
+    samples holds the size of the rule (group order, the nodes**3 points
+    of the quadrature rule, or sample count); stderr_bound is 0 for the
+    exact engines and the largest entrywise standard error for Monte
+    Carlo. Equality is identity.
     """
 
     rho: np.ndarray
@@ -401,7 +391,7 @@ def _mc_operator_average(a, b, pattern, samples, seed):
     return x + shift, stderr
 
 
-def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int = DEFAULT_NODES):
+def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int = MIN_NODES):
     """Exact average of W x W+ over both boxes for an arbitrary square operator.
 
     ``method`` is "design" or "quadrature"; anything else raises ValueError.
@@ -434,7 +424,7 @@ def average_pattern(
     pattern,
     method: str = "design",
     *,
-    nodes: int = DEFAULT_NODES,
+    nodes: int = MIN_NODES,
     samples: int = 0,
     seed=0,
 ) -> AverageResult:
@@ -480,7 +470,7 @@ def twirl_identity_suite(methods=_METHODS, *, samples: int = 100_000, seed: int 
     of the symmetric projector and kills both |00><11| and the
     singlet-to-|00> coherence. Each case is the ket pair (a, b) of its
     operator |a><b|. Both exact engines twirl the operator, quadrature on
-    DEFAULT_NODES nodes, and are held to 1e-12; Monte Carlo pushes a and b
+    MIN_NODES nodes, and are held to 1e-12; Monte Carlo pushes a and b
     through the boxes as two kets, even when they are equal, and is held to
     four standard errors of its own estimate, with one independent stream
     per identity spawned from ``seed``.

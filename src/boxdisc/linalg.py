@@ -24,12 +24,13 @@ RANK_TOL = 1e-10
 PSD_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of an ambient state space, held as an orthonormal basis.
 
     basis is an array of shape (ambient_dim, dim) whose columns are
-    orthonormal; both dimensions are read off its shape.
+    orthonormal; both dimensions are read off its shape. Equality is
+    identity.
     """
 
     basis: np.ndarray

@@ -377,11 +377,10 @@ def _mc_figures(batch, samples: int, seed) -> list:
     A scenario without box V reads the U block as if it drew U alone, while
     one without box U reads the V block that follows it. Per scenario, the
     chunks add up the values and their moments about its first sample's
-    value, so a constant figure has stderr 0. Returns one (mean, stderr) per
-    scenario, in batch order.
+    value, so a constant figure has stderr 0. samples is at least 2, as
+    run_scenarios checks. Returns one (mean, stderr) per scenario, in batch
+    order.
     """
-    if samples <= 0:
-        raise ValueError("Monte Carlo needs samples > 0")
     plan = {}
     for i, scenario in enumerate(batch):
         patterns = (scenario.pattern1, scenario.pattern2)
@@ -423,7 +422,7 @@ def run_scenarios(
     mc_samples: int = 0,
     seed: int = 0,
     *,
-    nodes: int = haar.DEFAULT_NODES,
+    nodes: int = haar.MIN_NODES,
 ) -> list:
     """Average, score, and compare each scenario against its reference value.
 
@@ -512,7 +511,7 @@ def run_scenario(
     mc_samples: int = 0,
     seed: int = 0,
     *,
-    nodes: int = haar.DEFAULT_NODES,
+    nodes: int = haar.MIN_NODES,
 ) -> ScenarioResult:
     """run_scenarios on a batch of one scenario; see there."""
     return run_scenarios((scenario,), method, mc_samples, seed, nodes=nodes)[0]
@@ -522,8 +521,6 @@ def run_scenario(
 class WitnessReport:
     """Entrywise check that the order task reduces to the same/different task."""
 
-    permutation: tuple
-    relabel: dict
     deviations: tuple
     max_deviation: float
     tolerance: float
@@ -553,8 +550,6 @@ def equivalence_witness_order_refs() -> WitnessReport:
     dev2 = float(np.max(np.abs(linalg.permute_qubits(s2, perm) - t1)))
     worst = max(dev1, dev2)
     return WitnessReport(
-        permutation=perm,
-        relabel={"U": "V", "V": "U"},
         deviations=(dev1, dev2),
         max_deviation=worst,
         tolerance=WITNESS_TOL,

@@ -58,6 +58,12 @@ class TestArgumentValidation:
         code, out, _ = run_main(capsys, "--help")
         assert code == 0 and f"from {haar.MIN_NODES} to {haar.MAX_NODES}" in " ".join(out.split())
 
+    def test_quadrature_default_is_the_smallest_rule(self, capsys):
+        argv = ("--all", "--method", "quadrature", "--format", "json")
+        assert run_main(capsys, *argv) == run_main(capsys, *argv, "--nodes", str(haar.MIN_NODES))
+        _, out, _ = run_main(capsys, "--help")
+        assert f"(default: {haar.MIN_NODES})" in " ".join(out.split())
+
     def test_unknown_format_rejected_by_argparse(self, capsys):
         code, _, _ = run_main(capsys, "--all", "--format", "xml")
         assert code == 2

@@ -132,8 +132,26 @@ class TestPovmFreeze:
                 povm.decision
 
 
+@pytest.mark.parametrize(
+    "make",
+    (
+        projective_pair,
+        lambda: Subspace(np.eye(4)[:, :2]),
+        lambda: haar.average_pattern(states.bell("psi-"), "UV"),
+        lambda: helstrom(np.diag([1.0, 0.0]), np.eye(2) / 2),
+    ),
+    ids=("Povm", "Subspace", "AverageResult", "MinErrorResult"),
+)
+def test_equality_is_identity(make):
+    # Field-wise == on an array field has no truth value, and an array or
+    # mapping field has no hash.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 #: Exact rules whose averages the stacked outcome_probs is pinned on.
-_EXACT_RULES = (("design", haar.DEFAULT_NODES), ("quadrature", haar.MIN_NODES), ("quadrature", 24))
+_EXACT_RULES = (("design", 24), ("quadrature", haar.MIN_NODES), ("quadrature", 24))
 
 
 class TestStackedOutcomeProbs:

@@ -12,7 +12,9 @@ and name the change where it is recorded.
 import contextlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -41,14 +43,20 @@ CASES = {
         "--scenario", "two-ref-singlet", "--scenario", "one-ref-minerror",
         "--scenario", "two-ref-singlet", "--format", "table",
     ],
+    "usage-samples-one": ["--all", "--method", "monte_carlo", "--samples", "1"],
 }
 
 
 def run_cli(argv) -> tuple:
-    """(exit code, stdout bytes, stderr bytes) of one in-process cli.main call."""
+    """(exit code, stdout bytes, stderr bytes) of one in-process cli.main call.
+
+    argparse wraps the usage line to the terminal width, so the width is
+    pinned to 80 columns here.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 

@@ -107,8 +107,8 @@ class TestCliffordGroup:
 
 
 class TestBoxPattern:
-    def test_from_string_and_wires(self):
-        p = BoxPattern.from_string("uvui")
+    def test_string_and_wires(self):
+        p = BoxPattern("uvui")
         assert p.labels == ("U", "V", "U", "I")
         assert p.wires("U") == (0, 2) and p.wires("V") == (1,) and len(p) == 4
 
@@ -118,11 +118,29 @@ class TestBoxPattern:
 
     def test_rejects_four_copies_of_one_box(self):
         with pytest.raises(ValueError):
-            BoxPattern.from_string("UUUU")
+            BoxPattern("UUUU")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BoxPattern(())
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ("uvI", "UVI", ["U", "V", "I"], BoxPattern("UVI")),
+        ids=("mixed-case-str", "str", "list", "BoxPattern"),
+    )
+    def test_as_pattern_accepts(self, pattern):
+        assert haar.as_pattern(pattern).labels == ("U", "V", "I")
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ("", "UX", "uuuu", ("u", "v"), ["U", "x"], b"UV"),
+        ids=("empty", "unknown-label", "four-copies", "lower-tuple", "lower-list", "bytes"),
+    )
+    def test_as_pattern_rejects(self, pattern):
+        # A lower-case label is read as upper case in a string only.
+        with pytest.raises(ValueError):
+            haar.as_pattern(pattern)
 
 
 class TestAveragePattern:
@@ -179,11 +197,11 @@ class TestAveragePattern:
 
 
 class TestEngineAgreement:
-    # Runs at the default node count keep the bare pattern as their id.
+    # Runs at 24 nodes keep the bare pattern as their id.
     @pytest.mark.parametrize(
         "pattern,nodes",
         [
-            pytest.param(p, n, id=p if n == haar.DEFAULT_NODES else f"{p}-{n}")
+            pytest.param(p, n, id=p if n == 24 else f"{p}-{n}")
             for p in ("UU", "UV", "UVU", "UVVU", "UVVV", "UUUV")
             for n in (8, 16, 24)
         ],
@@ -271,12 +289,12 @@ class TestEngineAgreement:
     def test_label_order_irrelevant(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        pattern = BoxPattern.from_string("UVVU")
+        pattern = BoxPattern("UVVU")
         for method in ("design", "quadrature"):
 
             def twirl(y, label):
                 return haar._twirl_one_label(
-                    y, pattern.wires(label), 4, method, haar.DEFAULT_NODES
+                    y, pattern.wires(label), 4, method, 24
                 )
 
             uv = twirl(twirl(x, "U"), "V")
@@ -348,7 +366,7 @@ def _twirl_one_label_per_call(x, wires, n, method, nodes):
 class TestTwirlAxisOrder:
     """The cached axis order gives the bits of the per-call one."""
 
-    @pytest.mark.parametrize("method, nodes", (("design", None), ("quadrature", haar.DEFAULT_NODES)))
+    @pytest.mark.parametrize("method, nodes", (("design", None), ("quadrature", 24)))
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_bits_match_per_call_axis_order(self, n, method, nodes):
         rng = np.random.default_rng(n)
@@ -504,7 +522,7 @@ class TestMonteCarloKernel:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         eye = np.eye(16, dtype=complex)
-        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern.from_string("UVVI"), 37, 5)
+        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern("UVVI"), 37, 5)
         assert stderr > 0
         assert np.max(np.abs(mean - _kron_reference(x, "UVVI", 37, 5))) <= 1e-12
 
@@ -512,7 +530,7 @@ class TestMonteCarloKernel:
         rng = np.random.default_rng(22)
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         eye = np.eye(4, dtype=complex)
-        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern.from_string("II"), 9, 5)
+        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern("II"), 9, 5)
         assert np.max(np.abs(mean - _kron_reference(x, "II", 9, 5))) <= 1e-12
         assert np.array_equal(mean, x) and stderr == 0.0
 
