@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from boxdisc import cli, haar, scenarios
+from boxdisc import cli, haar, scenarios, states
 from boxdisc.cli import execute, main, render_csv, render_json, render_table
+from boxdisc.discrimination import Povm
 from boxdisc.scenarios import SCENARIO_IDS
 
 
@@ -268,6 +270,31 @@ class TestConfigObject:
         ids = ["two-ref-singlet", "one-ref-minerror", "two-ref-singlet"]
         _, ok = execute(ids)
         assert built == ["one-ref-minerror", "two-ref-singlet"] and ok
+
+
+class TestCrossTalkResolution:
+    """Records carry cross_talk rounded to 1e-12 absolute; the gate reads the raw value."""
+
+    def test_rounding_noise_prints_as_zero(self):
+        records, ok = execute(SCENARIO_IDS)
+        results = scenarios.run_scenarios([scenarios.build_scenario(sid) for sid in SCENARIO_IDS])
+        unambiguous = [rec for rec in records if rec["mode"] == "unambiguous"]
+        assert ok and unambiguous and all(rec["cross_talk"] == 0 for rec in unambiguous)
+        assert all(rec["cross_talk"] is None for rec in records if rec["mode"] == "min_error")
+        raw = [res.cross_talk for res in results if res.scenario.mode == "unambiguous"]
+        assert len(raw) == len(unambiguous) and any(value != 0 for value in raw)
+
+    def test_cross_talk_of_4e_9_prints_and_fails(self, capsys, monkeypatch):
+        # The POVM of test_scenarios.py::TestGateScales::test_cross_talk_of_4e_9_fails.
+        p_sym, p_anti = states.sym_antisym_projectors((0, 1), 2)
+        povm = Povm({"identify-2": p_sym + 4e-9 * p_anti, "fail": (1 - 4e-9) * p_anti})
+        build = scenarios.build_scenario
+        monkeypatch.setattr(
+            scenarios, "build_scenario", lambda sid: dataclasses.replace(build(sid), povm=povm)
+        )
+        code, out, _ = run_main(capsys, "--scenario", "one-ref-unambiguous", "--format", "csv")
+        row = dict(zip(cli.CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+        assert code == 1 and row["cross_talk"] == "4e-09" and row["pass"] == "false"
 
 
 class TestRendering:
