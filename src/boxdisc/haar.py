@@ -8,16 +8,17 @@ every wire sharing a label.
 Three engines compute that integral:
 
 * ``design``: exact summation over the 24-element single-qubit Clifford
-  group. The group is a unitary 3-design and every average needed here is a
-  balanced conjugation of degree at most three per box, so the finite sum
-  equals the integral up to rounding. Patterns therefore cap each label at
-  three wires.
+  group, built from its unit quaternions by _quaternions_to_su2, the map
+  every unitary of all three engines goes through. The group is a unitary
+  3-design and every average needed here is a balanced conjugation of
+  degree at most three per box, so the finite sum equals the integral up to
+  rounding. Patterns therefore cap each label at three wires.
 * ``quadrature``: deterministic product rule over the explicit angle
   parameterization of the group: the periodic trapezoid rule in both
   rotation angles and Gauss-Legendre in the cosine of the polar angle, with
   the invariant-measure weight folded into the node weights. It is exact up
   to rounding from 2 * DESIGN_COPY_LIMIT + 1 nodes per angle on, and shares
-  nothing with the design.
+  only the quaternion map below with the design.
 * ``monte_carlo``: seeded unit-quaternion sampling, with a standard-error
   bound reported alongside the estimate.
 
@@ -48,6 +49,7 @@ two kets. twirl_operator is the exact twirl only.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,33 +158,24 @@ def _quaternions_to_su2(q: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def clifford_group():
+def clifford_group() -> np.ndarray:
     """The 24 single-qubit Clifford elements, one per global-phase class.
 
-    Generated by closing {H, S} under multiplication, breadth first, keeping
-    the raw products. A product is new unless it equals a stored element up
-    to phase, that is |tr(e+ w)| = 2; two distinct elements overlap by at
-    most sqrt(2), so the test |tr(e+ w)| < 1.9 needs no rounding. Built once
-    per process and returned as the same tuple after.
+    They are the binary octahedral group up to sign, mapped through
+    _quaternions_to_su2: 1, i, j and k; the eight (1 +- i +- j +- k)/2, which
+    with the first four make the binary tetrahedral group, a 2-design only;
+    and the twelve (e_a +- e_b)/sqrt(2) of two distinct units, which complete
+    the 3-design. Built once per process and returned after as the same
+    read-only (24, 2, 2) stack.
     """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
-    elements = [np.eye(2, dtype=complex)]
-    frontier = elements[:]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for g in (h, s):
-                w = g @ u
-                if all(abs(np.vdot(e, w)) < 1.9 for e in elements):
-                    elements.append(w)
-                    fresh.append(w)
-        frontier = fresh
-        if len(elements) > 24:
-            raise RuntimeError(f"group closure grew past 24 elements ({len(elements)})")
-    if len(elements) != 24:
-        raise RuntimeError(f"group closure stopped at {len(elements)} elements, expected 24")
-    return tuple(elements)
+    units = np.eye(4)
+    corners = [(1.0, *signs) for signs in itertools.product((1.0, -1.0), repeat=3)]
+    edges = [a + s * b for a, b in itertools.combinations(units, 2) for s in (1, -1)]
+    # np.sqrt(0.5) is 1/sqrt(2) correctly rounded; 1 / np.sqrt(2.0) is one ulp low.
+    q = np.vstack([units, np.array(corners) / 2, np.array(edges) * np.sqrt(0.5)])
+    us = _quaternions_to_su2(q)
+    us.flags.writeable = False
+    return us
 
 
 @functools.cache
@@ -260,7 +253,7 @@ def _twirl_channel(method: str, nodes: int | None, k: int) -> np.ndarray:
     full nodes**3 grid does.
     """
     if method == "design":
-        us = np.stack(clifford_group())
+        us = clifford_group()
         weights = np.full(len(us), 1.0 / len(us))
     else:
         us, weights = _quadrature_elements(nodes)

@@ -73,6 +73,33 @@ class TestCliffordGroup:
     def test_cardinality(self):
         assert len(haar.clifford_group()) == 24
 
+    @staticmethod
+    def _frame_potential(us, k):
+        """(1/|G|^2) sum_{m,n} |tr(U_m+ U_n)|^{2k}: Catalan(k) exactly for a k-design."""
+        overlaps = np.abs(np.einsum("mab,nab->mn", us.conj(), us))
+        return float(np.sum(overlaps ** (2 * k))) / len(us) ** 2
+
+    @pytest.mark.parametrize("k, catalan", ((1, 1), (2, 2), (3, 5)))
+    def test_frame_potential_is_catalan(self, k, catalan):
+        assert abs(self._frame_potential(haar.clifford_group(), k) - catalan) <= 1e-12
+
+    def test_tetrahedral_classes_are_only_a_two_design(self):
+        # The first 12 elements are the binary tetrahedral group up to sign.
+        tetrahedral = haar.clifford_group()[:12]
+        potentials = [self._frame_potential(tetrahedral, k) for k in (1, 2, 3)]
+        assert np.allclose(potentials, (1, 2, 6), rtol=0, atol=1e-12)
+
+    def test_elements_are_special_unitary(self):
+        group = haar.clifford_group()
+        assert np.max(np.abs(np.linalg.det(group) - 1)) <= 1e-15
+        products = np.einsum("mba,mbc->mac", group.conj(), group)
+        assert np.max(np.abs(products - np.eye(2))) <= 1e-15
+
+    def test_stack_is_read_only_and_built_once(self):
+        group = haar.clifford_group()
+        assert group.shape == (24, 2, 2) and not group.flags.writeable
+        assert haar.clifford_group() is group
+
     def test_contains_generators_up_to_phase(self):
         group = haar.clifford_group()
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -394,7 +421,7 @@ def _einsum_channel(method, nodes, k):
     nodes**2.
     """
     if method == "design":
-        us = np.stack(haar.clifford_group())
+        us = haar.clifford_group()
         weights = np.full(len(us), 1.0 / len(us))
     else:
         x, w_x = np.polynomial.legendre.leggauss(nodes)
