@@ -35,15 +35,14 @@ matrix product on the operator with the label's wires moved to the front.
 The Monte Carlo engine draws joint samples of both boxes from one kernel,
 shared with the per-sample circuit simulation of the scenarios: draw_boxes
 draws seeded chunks of gate stacks, at most _CHUNK samples at a time for any
-sample count, and apply_boxes puts them on a batch of kets one wire at a
-time, so the full 2**n x 2**n W is never built. A scenario run draws each
-chunk once and scores every scenario of the run on it. The batch has shape
-(d, r, m), samples last: every product then runs over contiguous rows of m
-samples instead of over the r = 1 entries of a ket. The one Monte Carlo
-operator average takes x as a factor pair a b+ with r columns each and forms
-W x W+ as (W a)(W b)+: average_pattern passes a density |psi><psi| as one
-ket per sample, and twirl_identity_suite passes each rank-one |a><b| as its
-two kets. twirl_operator is the exact twirl only.
+sample count, and apply_boxes pushes one ket through them one wire at a
+time into a (d, m) array, samples last, so every product runs over
+contiguous rows of m samples and the full 2**n x 2**n W is never built. A
+scenario run draws each chunk once and scores every scenario of the run on
+it. The one Monte Carlo operator average takes a rank-one x = |a><b| as its
+two kets and forms W x W+ as (W a)(W b)+: average_pattern passes psi twice,
+one ket per sample, and twirl_identity_suite the two kets of each |a><b|.
+twirl_operator is the exact twirl only.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ MIN_NODES = 2 * DESIGN_COPY_LIMIT + 1
 
 #: Most quadrature nodes per angle. The rule has nodes**3 points, of which the
 #: channel build holds and sums the nodes**2 at axis azimuth 0: at 64 nodes a
-#: cold `--all --method quadrature` peaks near 47 MB (89 MB when all nodes**3
-#: were summed).
+#: cold `--all --method quadrature` peaks near 47 MB.
 MAX_NODES = 64
 
 _METHODS = ("design", "quadrature", "monte_carlo")
@@ -326,53 +324,50 @@ def draw_boxes(samples: int, seed, labels):
         yield m, gates
 
 
-def apply_boxes(batch: np.ndarray, pattern, gates) -> np.ndarray:
-    """W_s batch[..., s] for a samples-last batch of shape (d, r, m).
+def apply_boxes(psi: np.ndarray, pattern, gates, m: int) -> np.ndarray:
+    """The C-contiguous (d, m) array of W_s psi, one column per sample s.
 
     W_s puts gates[label][s] on every wire carrying that label and leaves idle
-    wires alone; wire 0 is the leading qubit of the d = 2**n rows. The batch
-    may be a broadcast view. Samples go last so that every product below runs
-    over contiguous rows of m samples: with samples first, the inner loops
-    would be only r long (1 for kets). Each wire costs O(m d r), and W itself
-    is never formed.
+    wires alone; wire 0 is the leading qubit of the d = 2**n entries of psi,
+    which may be any view. m is the chunk size draw_boxes yields. Samples go
+    last, so every product below runs over contiguous rows of m samples.
+    Each wire costs O(m d), and W itself is never formed.
     """
-    d, r, m = batch.shape
-    out = batch
+    d = len(psi)
+    out = np.broadcast_to(psi[:, None], (d, m))
     for wire, label in enumerate(as_pattern(pattern).labels):
         if label == "I":
             continue
         g = gates[label].transpose(1, 2, 0)  # (out bit, in bit, m)
-        o = out.reshape(2**wire, 2, -1, m)  # (wires before, in bit, after * r, m)
+        o = out.reshape(2**wire, 2, -1, m)  # (wires before, in bit, wires after, m)
         new = np.empty(o.shape, dtype=complex)
         for bit in (0, 1):
             np.multiply(g[bit, 0], o[:, 0], out=new[:, bit])
             new[:, bit] += g[bit, 1] * o[:, 1]
         out = new
-    return out.reshape(d, r, m)
+    # Only an all-idle pattern leaves the read-only broadcast view of psi.
+    return out.reshape(d, m) if out.flags.writeable else out.copy()
 
 
 def _mc_operator_average(a, b, pattern, samples, seed):
-    """Monte Carlo average of W x W+ for x = a b+, with a and b of shape (d, r).
+    """Monte Carlo average of W x W+ for x = |a><b|, two kets of length d.
 
-    Per chunk apply_boxes pushes the r columns of a through the boxes, and
-    those of b unless b is a, so a density |psi><psi| costs one ket per
-    sample. Each sample's W x W+ is then (W a)(W b)+, a sum of r outer
-    products. Deviations from x are accumulated in streaming moment sums:
-    an all-idle pattern then returns x with stderr 0.
+    Per chunk apply_boxes pushes a through the boxes, and b unless b is a,
+    so a density |psi><psi| costs one ket per sample. Each sample's W x W+
+    is then the outer product (W a)(W b)+. Deviations from x are accumulated
+    in streaming moment sums: an all-idle pattern then returns x with
+    stderr 0.
     """
     if samples < 2:
         raise ValueError("monte_carlo needs samples >= 2: one sample has no error bar")
-    d, r = a.shape
-    x = a @ b.conj().T
-    total = np.zeros((d, d), dtype=complex)
-    total_sq = np.zeros((d, d), dtype=float)
+    x = np.outer(a, b.conj())
+    total = np.zeros(x.shape, dtype=complex)
+    total_sq = np.zeros(x.shape, dtype=float)
     for m, gates in draw_boxes(samples, seed, pattern.labels):
-        wa = apply_boxes(np.broadcast_to(a[..., None], (d, r, m)), pattern, gates)
-        wb = wa if b is a else apply_boxes(np.broadcast_to(b[..., None], wa.shape), pattern, gates)
+        wa = apply_boxes(a, pattern, gates, m)
+        wb = wa if b is a else apply_boxes(b, pattern, gates, m)
         wb = wb.conj()
-        y = wa[:, None, 0] * wb[None, :, 0]
-        for k in range(1, r):
-            y += wa[:, None, k] * wb[None, :, k]
+        y = wa[:, None] * wb[None, :]
         y -= x[..., None]
         total += y.sum(axis=-1)
         # Real and imaginary parts side by side: sum |y|**2 over the samples.
@@ -389,10 +384,10 @@ def twirl_operator(x: np.ndarray, pattern, method: str = "design", *, nodes: int
 
     ``method`` is "design" or "quadrature"; anything else raises ValueError.
     The engine averages one label after the other; the boxes are
-    independent, so the order is immaterial. A Monte Carlo average of an
-    operator goes through _mc_operator_average with x as a factor pair.
-    Returns the averaged operator and the size of the rule applied per label
-    (24 or nodes**3).
+    independent, so the order is immaterial. A Monte Carlo average of a
+    rank-one operator |a><b| goes through _mc_operator_average with its two
+    kets. Returns the averaged operator and the size of the rule applied per
+    label (24 or nodes**3).
     """
     pattern = as_pattern(pattern)
     n = len(pattern)
@@ -434,8 +429,7 @@ def average_pattern(
         raise ValueError(f"state length {psi.shape} does not match pattern {pattern}")
     states.assert_normalized(psi)
     if method == "monte_carlo":
-        ket = psi[:, None]
-        rho, stderr = _mc_operator_average(ket, ket, pattern, samples, seed)
+        rho, stderr = _mc_operator_average(psi, psi, pattern, samples, seed)
         count = samples
     else:
         rho, count = twirl_operator(states.density(psi), pattern, method, nodes=nodes)
@@ -488,9 +482,7 @@ def twirl_identity_suite(methods=_METHODS, *, samples: int = 100_000, seed: int 
             raise ValueError(f"unknown method {method!r}")
         for (name, a, b, pattern, expected), case_seed in zip(cases, case_seeds):
             if method == "monte_carlo":
-                avg, stderr = _mc_operator_average(
-                    a[:, None], b[:, None], as_pattern(pattern), samples, case_seed
-                )
+                avg, stderr = _mc_operator_average(a, b, as_pattern(pattern), samples, case_seed)
                 tol = 4.0 * stderr
             else:
                 avg, _ = twirl_operator(np.outer(a, b.conj()), pattern, method)

@@ -107,12 +107,14 @@ class Scenario:
     construction. paper_value and citation are the fixture entry for id, a
     scenario id or an auxiliary name; mode follows from the POVM labels
     (see Povm.decision), and so do the outcomes each hypothesis scores (see
-    Povm.scored). Construction also freezes the scenario: patterns become
-    BoxPatterns and the state a read-only array copy, and povm_report keeps
-    validate_povm's report. The Povm is already frozen (see Povm), so it is
-    kept as given. dataclasses.replace goes through the same steps, so a
-    variant carries the mode and report of its own POVM. Equality is
-    identity, like the per-process cache of build_scenario.
+    Povm.scored). Construction raises ValueError unless the state, both
+    patterns and the POVM fit one n-wire register, and it freezes the
+    scenario: patterns become BoxPatterns and the state a read-only array
+    copy, and povm_report keeps validate_povm's report. The Povm is already
+    frozen (see Povm), so it is kept as given. dataclasses.replace goes
+    through the same steps, so a variant carries the mode and report of its
+    own POVM. Equality is identity, like the per-process cache of
+    build_scenario.
     """
 
     id: str
@@ -129,9 +131,16 @@ class Scenario:
         object.__setattr__(self, "state", _read_only(self.state))
         object.__setattr__(self, "pattern1", as_pattern(self.pattern1))
         object.__setattr__(self, "pattern2", as_pattern(self.pattern2))
+        n = len(self.pattern1)
+        if (self.state.shape, len(self.pattern2), self.povm.dim) != ((2**n,), n, 2**n):
+            raise ValueError(
+                f"scenario {self.id!r} mixes register sizes: state shape {self.state.shape}, "
+                f"patterns {self.pattern1} and {self.pattern2}, POVM dim {self.povm.dim}"
+            )
         object.__setattr__(self, "mode", self.povm.decision[0])
-        object.__setattr__(self, "paper_value", reference_value(self.id))
-        object.__setattr__(self, "citation", reference_citation(self.id))
+        entry = _fixture_entry(self.id)
+        object.__setattr__(self, "paper_value", float(entry["value"]))
+        object.__setattr__(self, "citation", str(entry["citation"]))
         object.__setattr__(self, "povm_report", validate_povm(self.povm))
 
 
@@ -394,10 +403,7 @@ def _mc_figures(batch, samples: int, seed) -> list:
     for m, gates in haar.draw_boxes(samples, seed, "UV"):
         values = np.zeros((len(batch), m))
         for psi, pattern, consumers in plan.values():
-            kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
-            # An all-idle pattern returns the broadcast input, which the
-            # float view below needs copied; any other output is contiguous.
-            out = np.ascontiguousarray(haar.apply_boxes(kets, pattern, gates).reshape(-1, m))
+            out = haar.apply_boxes(psi, pattern, gates, m)
             # A scenario scores at most two hypotheses, and 0 + a + b has
             # the same bits as 0 + b + a, so the order in which its keys
             # come up does not change its values.

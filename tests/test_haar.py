@@ -245,7 +245,7 @@ class TestEngineAgreement:
 
     def test_monte_carlo_operator_twirl_rejected(self):
         # twirl_operator is the exact twirl only; Monte Carlo operator
-        # averages go through haar._mc_operator_average as factor pairs.
+        # averages go through haar._mc_operator_average as ket pairs.
         x = states.density(states.bell("psi-"))
         with pytest.raises(ValueError, match="'design' or 'quadrature'"):
             twirl_operator(x, "UU", "monte_carlo")
@@ -459,23 +459,22 @@ def _kron_reference(x, pattern, samples, seed):
     return total / samples
 
 
-def _apply_boxes_samples_first(batch, pattern, gates):
-    """W_s batch[s] for a batch of shape (m, d, r): the sample-first kernel.
+def _apply_boxes_samples_first(psi, pattern, gates, m):
+    """W_s psi for each sample s, shape (m, d): the sample-first kernel.
 
     The samples-last haar.apply_boxes must reproduce it bit for bit: per
     element it forms the same two products and adds them in the same order.
     """
-    m, d, r = batch.shape
-    out = batch
+    out = np.broadcast_to(psi, (m, len(psi)))
     for wire, label in enumerate(haar.as_pattern(pattern).labels):
         if label == "I":
             continue
-        g = gates[label][:, None, :, :, None, None]  # (m, 1, out bit, in bit, 1, 1)
-        o = out.reshape(m, 2**wire, 2, -1, r)  # (m, wires before, in bit, after, r)
+        g = gates[label][:, None, :, :, None]  # (m, 1, out bit, in bit, 1)
+        o = out.reshape(m, 2**wire, 2, -1)  # (m, wires before, in bit, after)
         new = g[:, :, :, 0] * o[:, :, None, 0]
         new += g[:, :, :, 1] * o[:, :, None, 1]
         out = new
-    return out.reshape(m, d, r)
+    return out.reshape(m, len(psi))
 
 
 def _mc_figure_samples_first(scenario, samples, seed):
@@ -488,14 +487,12 @@ def _mc_figure_samples_first(scenario, samples, seed):
         if labels:
             elements = (np.asarray(scenario.povm.elements[l]) for l in labels)
             scored.append((pattern, 0.5 * sum(elements)))
-    psi = scenario.state[:, None]
     total, shift, dev, dev_sq = 0.0, None, 0.0, 0.0
     labels = scenario.pattern1.labels + scenario.pattern2.labels
     for m, gates in haar.draw_boxes(samples, seed, labels):
-        kets = np.broadcast_to(psi, (m,) + psi.shape)
         values = np.zeros(m)
         for pattern, op in scored:
-            out = _apply_boxes_samples_first(kets, pattern, gates).reshape(m, -1)
+            out = _apply_boxes_samples_first(scenario.state, pattern, gates, m)
             # Scored in _mc_figures' order: on (d, m), y = E o and one column
             # sum over the real and imaginary parts.
             o = np.ascontiguousarray(out.T)
@@ -527,8 +524,7 @@ def _mc_figures_row_sum(batch, samples, seed):
     for m, gates in haar.draw_boxes(samples, seed, "UV"):
         values = np.zeros((len(batch), m))
         for psi, pattern, consumers in plan.values():
-            kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
-            out = haar.apply_boxes(kets, pattern, gates).reshape(-1, m).T
+            out = haar.apply_boxes(psi, pattern, gates, m).T
             for i, op in consumers:
                 values[i] += np.real(np.sum((out.conj() @ op) * out, axis=1))
         for tally, row in zip(tallies, values):
@@ -547,17 +543,17 @@ def _mc_figures_row_sum(batch, samples, seed):
 class TestMonteCarloKernel:
     def test_matches_explicit_kron_on_nonsymmetric_operator(self):
         rng = np.random.default_rng(21)
-        x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        eye = np.eye(16, dtype=complex)
-        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern("UVVI"), 37, 5)
+        a, b = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        x = np.outer(a, b.conj())
+        mean, stderr = haar._mc_operator_average(a, b, BoxPattern("UVVI"), 37, 5)
         assert stderr > 0
         assert np.max(np.abs(mean - _kron_reference(x, "UVVI", 37, 5))) <= 1e-12
 
     def test_all_idle_pattern_returns_input(self):
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        eye = np.eye(4, dtype=complex)
-        mean, stderr = haar._mc_operator_average(x, eye, BoxPattern("II"), 9, 5)
+        a, b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        x = np.outer(a, b.conj())
+        mean, stderr = haar._mc_operator_average(a, b, BoxPattern("II"), 9, 5)
         assert np.max(np.abs(mean - _kron_reference(x, "II", 9, 5))) <= 1e-12
         assert np.array_equal(mean, x) and stderr == 0.0
 
@@ -575,7 +571,7 @@ class TestMonteCarloKernel:
 
         def recorded(a, b, pattern, samples, seed):
             out = average(a, b, pattern, samples, seed)
-            calls.append((a @ b.conj().T, str(pattern), samples, seed, out))
+            calls.append((np.outer(a, b.conj()), str(pattern), samples, seed, out))
             return out
 
         monkeypatch.setattr(haar, "_mc_operator_average", recorded)
@@ -593,22 +589,23 @@ class TestMonteCarloKernel:
 
     def test_rank_one_averages_simulate_one_ket_per_sample(self, monkeypatch):
         # |psi><psi| and each identity-suite operator x = |a><b| go through
-        # the boxes as one column, never as the d columns of x.
+        # the boxes as one ket per sample, never as the d columns of x.
         shapes = []
         apply_boxes = haar.apply_boxes
 
-        def recorded(batch, pattern, gates):
-            shapes.append(batch.shape)
-            return apply_boxes(batch, pattern, gates)
+        def recorded(psi, pattern, gates, m):
+            out = apply_boxes(psi, pattern, gates, m)
+            shapes.append((psi.shape, out.shape))
+            return out
 
         monkeypatch.setattr(haar, "apply_boxes", recorded)
         scenario = scenarios.build_scenario("order-uv-refs")
         average_pattern(scenario.state, scenario.pattern1, "monte_carlo", samples=50, seed=1)
-        assert shapes == [(16, 1, 50)]
+        assert shapes == [((16,), (16, 50))]
         shapes.clear()
         haar.twirl_identity_suite(("monte_carlo",), samples=50, seed=1)
         # Each case pushes its ket pair a and b as two kets.
-        assert shapes == [(d, 1, 50) for d in (2, 2, 2, 4, 4, 4) for _ in "ab"]
+        assert shapes == [((d,), (d, 50)) for d in (2, 2, 2, 4, 4, 4) for _ in "ab"]
 
     def test_operator_average_memory_is_one_sample_buffer(self):
         scenario = scenarios.build_scenario("order-uv-refs")
@@ -631,40 +628,36 @@ class TestMonteCarloKernel:
         rng = np.random.default_rng(23)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         ((m, gates),) = list(haar.draw_boxes(6, 3, "UIV"))
-        kets = np.broadcast_to(psi[:, None, None], (8, 1, m))
-        out = haar.apply_boxes(kets, "UIV", gates)
+        out = haar.apply_boxes(psi, "UIV", gates, m)
+        assert out.shape == (8, m) and out.flags.c_contiguous
         for s in range(m):
             w = np.kron(np.kron(gates["U"][s], np.eye(2)), gates["V"][s])
-            assert np.max(np.abs(out[:, 0, s] - w @ psi)) <= 1e-12
+            assert np.max(np.abs(out[:, s] - w @ psi)) <= 1e-12
+
+    @pytest.mark.parametrize("m", (1, 5))
+    def test_all_idle_pattern_returns_contiguous_copy(self, m):
+        psi = states.four_qubit_test_state()
+        out = haar.apply_boxes(psi, "IIII", {}, m)
+        assert out.shape == (16, m) and out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, psi)
+        assert all(np.array_equal(out[:, s], psi) for s in range(m))
 
     @pytest.mark.parametrize("samples", (1, 1000, haar._CHUNK))
     def test_kernel_on_scenario_kets_matches_samples_first_bits(self, samples):
         ((m, gates),) = haar.draw_boxes(samples, 17, "UV")
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=32) + 1j * rng.normal(size=32)
+        cases = []
         for sid in scenarios.SCENARIO_IDS:
             scenario = scenarios.build_scenario(sid)
-            psi = scenario.state
-            for pattern in (scenario.pattern1, scenario.pattern2):
-                kets = np.broadcast_to(psi[:, None, None], (len(psi), 1, m))
-                old = _apply_boxes_samples_first(
-                    np.broadcast_to(psi[:, None], (m, len(psi), 1)), pattern, gates
-                )
-                out = haar.apply_boxes(kets, pattern, gates)
-                assert np.array_equal(out.transpose(2, 0, 1), old), (sid, str(pattern))
-
-    @pytest.mark.parametrize("samples", (1, 1000, haar._CHUNK))
-    def test_kernel_on_operator_columns_matches_samples_first_bits(self, samples):
-        rng = np.random.default_rng(24)
-        built = [scenarios.build_scenario(sid) for sid in scenarios.SCENARIO_IDS]
-        patterns = {p for sc in built for p in (sc.pattern1, sc.pattern2)}
-        ((m, gates),) = haar.draw_boxes(samples, 18, "UV")
-        x = rng.normal(size=(16, 16, m)) + 1j * rng.normal(size=(16, 16, m))
-        for pattern in sorted(patterns, key=str):
-            d = 2 ** len(pattern)
-            # A strided, transposed batch: apply_boxes takes any view.
-            batch = x[:d, :d].transpose(1, 0, 2)
-            old = _apply_boxes_samples_first(batch.transpose(2, 0, 1), pattern, gates)
-            out = haar.apply_boxes(batch, pattern, gates)
-            assert np.array_equal(out.transpose(2, 0, 1), old), str(pattern)
+            cases += [(scenario.state, p, sid) for p in (scenario.pattern1, scenario.pattern2)]
+        # A strided ket: apply_boxes takes any view.
+        cases.append((x[::2], BoxPattern("UVVU"), "strided"))
+        for psi, pattern, name in cases:
+            old = _apply_boxes_samples_first(psi, pattern, gates, m)
+            out = haar.apply_boxes(psi, pattern, gates, m)
+            assert out.shape == (len(psi), m) and out.flags.c_contiguous
+            assert np.array_equal(out.T, old), (name, str(pattern))
 
     @pytest.mark.parametrize("sid", ("one-ref-minerror", "two-ref-minerror-3q", "order-two-u-refs"))
     def test_mc_figure_matches_samples_first_scorer_bits(self, sid):

@@ -218,6 +218,36 @@ class TestDerivedFields:
         assert (scenario == dataclasses.replace(scenario)) is False
         assert len({build_scenario(sid) for sid in SCENARIO_IDS}) == 11
 
+    @pytest.mark.parametrize(
+        "change",
+        (
+            {"state": states.ket("000")},
+            {"pattern1": "U"},
+            {"pattern1": "UUV", "pattern2": "UVV"},
+            {"povm": Povm({"guess-1": np.eye(8) / 2, "guess-2": np.eye(8) / 2})},
+        ),
+        ids=("state", "pattern1", "both-patterns", "povm"),
+    )
+    def test_mixed_register_sizes_rejected_at_construction(self, change):
+        # The Monte Carlo kernel pushes the state through both patterns and
+        # scores it on the POVM, so all four must share one register.
+        with pytest.raises(ValueError, match="mixes register sizes"):
+            dataclasses.replace(build_scenario("one-ref-unambiguous"), **change)
+
+    def test_fixture_parsed_once_per_construction(self, monkeypatch):
+        calls = []
+        load = scenarios.load_reference_values
+
+        def counted():
+            calls.append(1)
+            return load()
+
+        monkeypatch.setattr(scenarios, "load_reference_values", counted)
+        variant = dataclasses.replace(build_scenario("one-ref-unambiguous"))
+        assert len(calls) == 1
+        assert variant.paper_value == reference_value("one-ref-unambiguous")
+        assert variant.citation == scenarios.reference_citation("one-ref-unambiguous")
+
 
 class TestResultCensus:
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
@@ -422,6 +452,49 @@ class TestPermutationWitness:
         report = equivalence_witness_order_refs()
         assert built == ["order-two-u-refs", "pair-same-unambiguous"]
         assert report.passed
+
+
+def _permuted(scenario, perm):
+    """The scenario with its wires relabelled: wire k of the result is wire perm[k]."""
+    labels = {
+        name: tuple(pattern.labels[w] for w in perm)
+        for name, pattern in (("pattern1", scenario.pattern1), ("pattern2", scenario.pattern2))
+    }
+    elements = {l: linalg.permute_qubits(e, perm) for l, e in scenario.povm.elements.items()}
+    return dataclasses.replace(
+        scenario,
+        state=linalg.permute_qubits(scenario.state, perm),
+        povm=Povm(elements),
+        **labels,
+    )
+
+
+class TestWirePermutation:
+    # Relabelling the wires of the state, both patterns and every POVM
+    # element changes no figure: it checks that permute_qubits, the exact
+    # twirl's axis order and apply_boxes' per-wire reshape put every wire
+    # in the same place. Monte Carlo agrees this tightly because each
+    # sample still sees the same (U, V) pair.
+    @pytest.mark.parametrize(
+        "method, nodes, mc_samples",
+        (("design", haar.MIN_NODES, 0), ("quadrature", 7, 0), ("design", haar.MIN_NODES, 3000)),
+        ids=("design", "quadrature-7", "monte-carlo-3000"),
+    )
+    def test_figures_and_verdicts_unchanged(self, method, nodes, mc_samples):
+        batch = [build_scenario(sid) for sid in SCENARIO_IDS]
+        base = scenarios.run_scenarios(batch, method, mc_samples, 5, nodes=nodes)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            perms = [tuple(rng.permutation(len(sc.pattern1))) for sc in batch]
+            moved = [_permuted(sc, perm) for sc, perm in zip(batch, perms)]
+            results = scenarios.run_scenarios(moved, method, mc_samples, 5, nodes=nodes)
+            for before, after, perm in zip(base, results, perms):
+                where = (before.scenario.id, perm)
+                assert after.passed == before.passed, where
+                for name in ("analytic", "mc_estimate", "mc_stderr", "cross_talk"):
+                    x, y = getattr(before, name), getattr(after, name)
+                    assert (x is None) == (y is None), (where, name)
+                    assert x is None or abs(x - y) <= 1e-14, (where, name, x, y)
 
 
 class TestVariants:
